@@ -3,43 +3,20 @@
 //! workload into the reused [`fppn_sim::hotpath::SeqRounds`] scratch
 //! buffers must perform **zero** heap allocations.
 //!
-//! The test binary installs its own counting `#[global_allocator]` (an
-//! integration test is a separate crate root, so this never affects the
-//! library or other tests) and therefore runs under a plain
-//! `cargo test -q` — no feature flags needed. The scoped `#[allow]`
-//! overrides the crate's `unsafe_code = "deny"` lint for the one
-//! `GlobalAlloc` impl.
+//! The test binary installs its own counting `#[global_allocator]`
+//! (`common/mod.rs`) and therefore runs under a plain `cargo test -q`,
+//! with no feature flags and with any `--test-threads`. The allocator
+//! counts **per thread**, so one gate's window never counts the set-up
+//! allocations of the sibling gates that libtest runs beside it. That is
+//! sound because the measured path runs entirely on the calling thread:
+//! `compute_rounds_seq_into` drives its per-processor cursors on one
+//! thread, and an armed `CancelToken` check is a relaxed load plus
+//! `Instant::now()`. A change that moves round computation onto other
+//! threads must change these gates too, or its allocations go uncounted.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-#[allow(unsafe_code)]
-mod counting_impl {
-    use super::{CountingAlloc, ALLOCATIONS, Ordering};
-    use std::alloc::{GlobalAlloc, Layout, System};
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+use common::{allocations, assert_counted_since};
 
 #[test]
 fn steady_state_round_computation_allocates_nothing() {
@@ -62,15 +39,17 @@ fn steady_state_round_computation_allocates_nothing() {
         SeqRounds::new(&net, &stimuli, &derived, &tables, &cfg).expect("round tables");
 
     // Warm-up: grows every scratch buffer to its final capacity.
+    let warm_up = allocations();
     let n = rounds.compute().expect("warm-up compute");
+    assert_counted_since(warm_up, "the warm-up compute");
     assert!(n > 1_000, "pinned workload should be non-trivial, got {n} rounds");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..3 {
         let again = rounds.compute().expect("steady-state compute");
         assert_eq!(again, n, "round count must be stable across recomputes");
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     assert_eq!(
         delta, 0,
         "steady-state round loop allocated {delta} times; the RoundScratch \
@@ -108,13 +87,15 @@ fn steady_state_with_armed_cancel_token_allocates_nothing() {
         SeqRounds::new(&net, &stimuli, &derived, &tables, &cfg).expect("round tables");
     rounds.set_cancel(&token);
 
+    let warm_up = allocations();
     let n = rounds.compute().expect("warm-up compute");
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_counted_since(warm_up, "the warm-up compute");
+    let before = allocations();
     for _ in 0..3 {
         let again = rounds.compute().expect("steady-state compute");
         assert_eq!(again, n, "round count must be stable across recomputes");
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     assert_eq!(
         delta, 0,
         "armed cancellation checks allocated {delta} times on the \
@@ -151,19 +132,21 @@ fn steady_state_with_frame_memo_allocates_nothing() {
         SeqRounds::new(&net, &stimuli, &derived, &tables, &cfg).expect("round tables");
 
     // Warm-up: grows the scratch buffers *and* the memo entry buffers.
+    let warm_up = allocations();
     let n = rounds.compute().expect("warm-up compute");
+    assert_counted_since(warm_up, "the warm-up compute");
     let (warm_hits, warm_misses) = rounds.memo_stats();
     assert!(
         warm_hits > 0,
         "the pinned periodic workload must replay frames ({warm_hits}h/{warm_misses}m)"
     );
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..3 {
         let again = rounds.compute().expect("steady-state compute");
         assert_eq!(again, n, "round count must be stable across recomputes");
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     let (hits, _) = rounds.memo_stats();
     assert!(hits > warm_hits, "steady-state computes must keep hitting");
     assert_eq!(

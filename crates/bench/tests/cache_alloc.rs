@@ -3,41 +3,19 @@
 //! pair must hash the key, look it up and clone the `Arc` without a
 //! single heap allocation — the compile phase is provably skipped.
 //!
-//! Same counting-`#[global_allocator]` trick as `alloc_zero.rs` (an
-//! integration test is its own crate root, so the allocator is local to
-//! this binary); the scoped `#[allow]` overrides the crate's
-//! `unsafe_code = "deny"` lint for the one `GlobalAlloc` impl.
+//! Same per-thread counting `#[global_allocator]` as `alloc_zero.rs`
+//! (`common/mod.rs`; an integration test is its own crate root, so the
+//! allocator is local to this binary). Counting per thread keeps one
+//! gate's window clear of the set-up allocations (FMS compiles and runs)
+//! of the sibling gate that libtest runs beside it. That is sound because
+//! the measured hit paths — `ArtifactCache::get_or_compile`, `run_key` and
+//! `RunCache::lookup` — run synchronously on the calling thread. A change
+//! that moves that work onto other threads must change these gates too,
+//! or its allocations go uncounted.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-#[allow(unsafe_code)]
-mod counting_impl {
-    use super::{CountingAlloc, ALLOCATIONS, Ordering};
-    use std::alloc::{GlobalAlloc, Layout, System};
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+use common::{allocations, assert_counted_since};
 
 #[test]
 fn cache_hits_allocate_nothing() {
@@ -50,15 +28,17 @@ fn cache_hits_allocate_nothing() {
     let cache = ArtifactCache::new();
 
     // Warm-up: the one and only compile.
+    let warm_up = allocations();
     let warm = cache.get_or_compile(&net, &cfg).expect("FMS compiles");
+    assert_counted_since(warm_up, "the warm-up compile");
     assert_eq!((cache.hits(), cache.misses()), (0, 1));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..10 {
         let hit = cache.get_or_compile(&net, &cfg).expect("cache hit");
         assert_eq!(hit.content_hash(), warm.content_hash());
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     assert_eq!(
         delta, 0,
         "cache-hit get_or_compile allocated {delta} times; the hit path \
@@ -81,8 +61,10 @@ fn run_cache_hits_allocate_nothing() {
 
     let (net, bank, ids) = fms_network(FmsVariant::Original);
     let bank = Arc::new(bank);
+    let warm_up = allocations();
     let artifact = CompiledNetwork::compile(net, &CompileConfig::new(fms_wcet(&ids), 4))
         .expect("FMS compiles");
+    assert_counted_since(warm_up, "the warm-up compile");
     let stimuli = fppn_core::Stimuli::new();
     let config = SimConfig {
         frames: 2,
@@ -101,13 +83,13 @@ fn run_cache_hits_allocate_nothing() {
         Arc::clone(&run),
     );
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..10 {
         let key = run_key(&artifact, &stimuli, &config);
         let hit = cache.lookup(key, &bank).expect("warm cache hit");
         assert!(Arc::ptr_eq(&hit, &run), "hit must share the cached run");
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     assert_eq!(
         delta, 0,
         "run-cache hit path allocated {delta} times; keying and lookup \
