@@ -7,7 +7,7 @@ use fppn_apps::{
     SyntheticFppnConfig, SyntheticGraphConfig, WorkloadConfig,
 };
 use fppn_sched::{list_schedule, Heuristic};
-use fppn_sim::{simulate_parallel, simulate_seq, SimConfig};
+use fppn_sim::{simulate, SimConfig};
 use fppn_taskgraph::derive_task_graph;
 
 fn fms_hyperperiod_sweep(c: &mut Criterion) {
@@ -70,6 +70,7 @@ fn synthetic_graph_sweep(c: &mut Criterion) {
     g.finish();
 }
 
+/// The round loop, plain and memoized, on the FMS policy table.
 fn simulation_backend_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulation_backends");
     g.sample_size(10);
@@ -78,48 +79,19 @@ fn simulation_backend_sweep(c: &mut Criterion) {
     let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
     let stimuli = fppn_core::Stimuli::new();
     for frames in [2u64, 8] {
-        let cfg = SimConfig {
+        let seq = SimConfig {
             frames,
             ..SimConfig::default()
         };
-        g.bench_with_input(BenchmarkId::new("seq", frames), &cfg, |b, cfg| {
-            b.iter(|| {
-                simulate_seq(&net, &bank, &stimuli, &derived, &schedule, cfg)
-                    .unwrap()
-                    .records
-                    .len()
-            })
-        });
-        for workers in [2usize, 4] {
-            let par = SimConfig { workers, ..cfg };
-            g.bench_with_input(
-                BenchmarkId::new(format!("par{workers}"), frames),
-                &par,
-                |b, cfg| {
-                    b.iter(|| {
-                        simulate_parallel(&net, &bank, &stimuli, &derived, &schedule, cfg)
-                            .unwrap()
-                            .records
-                            .len()
-                    })
-                },
-            );
-            let sharded = SimConfig {
-                parallel_behaviors: true,
-                ..par
-            };
-            g.bench_with_input(
-                BenchmarkId::new(format!("sharded{workers}"), frames),
-                &sharded,
-                |b, cfg| {
-                    b.iter(|| {
-                        simulate_parallel(&net, &bank, &stimuli, &derived, &schedule, cfg)
-                            .unwrap()
-                            .records
-                            .len()
-                    })
-                },
-            );
+        for (label, cfg) in [("seq", seq), ("memo", SimConfig { memo: true, ..seq })] {
+            g.bench_with_input(BenchmarkId::new(label, frames), &cfg, |b, cfg| {
+                b.iter(|| {
+                    simulate(&net, &bank, &stimuli, &derived, &schedule, cfg)
+                        .unwrap()
+                        .records
+                        .len()
+                })
+            });
         }
     }
     g.finish();
@@ -143,46 +115,24 @@ fn behavior_plane_sweep(c: &mut Criterion) {
     let derived = derive_task_graph(&w.net, &w.wcet).unwrap();
     let schedule = list_schedule(&derived.graph, 4, Heuristic::AlapEdf);
     let stimuli = fppn_core::Stimuli::new();
-    let base = SimConfig {
+    let seq = SimConfig {
         frames: 4,
         ..SimConfig::default()
     };
-    g.bench_with_input(BenchmarkId::new("seq", 48), &base, |b, cfg| {
-        b.iter(|| {
-            simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, cfg)
-                .unwrap()
-                .records
-                .len()
-        })
-    });
-    for (label, parallel_behaviors) in [("par4_serialized", false), ("par4_sharded", true)] {
-        let cfg = SimConfig {
-            workers: 4,
-            parallel_behaviors,
-            ..base
-        };
+    let sharded = SimConfig {
+        behavior_workers: 4,
+        ..seq
+    };
+    for (label, cfg) in [("seq", seq), ("sharded4", sharded)] {
         g.bench_with_input(BenchmarkId::new(label, 48), &cfg, |b, cfg| {
             b.iter(|| {
-                simulate_parallel(&w.net, &w.bank, &stimuli, &derived, &schedule, cfg)
+                simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, cfg)
                     .unwrap()
                     .records
                     .len()
             })
         });
     }
-    let pipelined = SimConfig {
-        workers: 4,
-        pipeline: true,
-        ..base
-    };
-    g.bench_with_input(BenchmarkId::new("pipeline4", 48), &pipelined, |b, cfg| {
-        b.iter(|| {
-            fppn_sim::simulate_pipelined(&w.net, &w.bank, &stimuli, &derived, &schedule, cfg)
-                .unwrap()
-                .records
-                .len()
-        })
-    });
     g.finish();
 }
 

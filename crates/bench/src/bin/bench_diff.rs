@@ -19,11 +19,13 @@
 //! clears the floor (the old "both sides under the floor" rule silently
 //! exempted every sub-floor bench from the gate, no matter how large the
 //! blowup). Benches or metrics present on only one side (a renamed sweep,
-//! a new backend column, a schema bump) are informational, not errors —
-//! the gate must never punish adding coverage.
+//! a new or retired column, a schema bump) are informational, not errors —
+//! the gate must never punish adding coverage, and a metric the new run no
+//! longer emits is simply not compared (a `/5` baseline's `par_ms` against
+//! a `/6` run, say).
 //!
 //! `--relative-to seq_ms` compares each metric as a **ratio to that run's
-//! own reference metric** instead of absolute milliseconds: `par_ms /
+//! own reference metric** instead of absolute milliseconds: `sharded_ms /
 //! seq_ms` new-vs-baseline. Host speed cancels out, so a baseline
 //! committed from one machine gates runs on another — this is the mode CI
 //! uses (an absolute cross-machine diff would only measure the hardware).
@@ -37,14 +39,15 @@
 //! The parser handles exactly the shape `scalability` emits (hand-rolled
 //! writer, one bench object per line) plus arbitrary whitespace; there is
 //! no serde in the offline container. Schemas `fppn-bench-sim/2` through
-//! `/5` all parse: `/3` added `rounds_per_sec`, `/4` adds the serve
+//! `/6` all parse: `/3` added `rounds_per_sec`, `/4` adds the serve
 //! control-plane records (`serve_runs_per_sec`, cache hit/miss counts and
 //! the compile/lookup/run timings), `/5` adds `memo_ms` — the memoized
 //! sequential run, gated like every other `_ms` column so a frame-memo
 //! slowdown fails the diff — plus the informational `memo_hits`/
 //! `memo_misses` frame-memo counters and the serve `run_cache_hits`
-//! cross-run result-cache counter. Only `*_ms` metrics are **gated**;
-//! everything else numeric on a bench line is reported as
+//! cross-run result-cache counter, and `/6` drops `par_ms` and
+//! `pipeline_ms` (the modes they timed are gone). Only `*_ms` metrics are
+//! **gated**; everything else numeric on a bench line is reported as
 //! **informational** — throughput is the inverse of the exempt `seq_ms`
 //! reference and just as host-dependent, and the cache counters describe
 //! cache behavior, not wall time.
@@ -52,7 +55,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Per-bench metrics: metric name (`seq_ms`, `par_ms`, …) → milliseconds.
+/// Per-bench metrics: metric name (`seq_ms`, `sharded_ms`, …) → milliseconds.
 type Metrics = BTreeMap<String, f64>;
 
 /// One parsed bench line: the gated `*_ms` metrics plus every other
@@ -371,6 +374,15 @@ mod tests {
         let line = r#"    {"name": "serve/fms", "runs": 48, "workers": 4, "serve_runs_per_sec": 910.4, "cache_hits": 47, "cache_misses": 1, "run_cache_hits": 47, "compile_us": 5321.0, "hit_lookup_us": 2.4, "cold_run_us": 6100.2, "hit_run_us": 820.9},"#;
         assert!(ms_fields(line).is_empty(), "serve lines stay ungated");
         assert_eq!(info_fields(line).get("run_cache_hits"), Some(&47.0));
+    }
+
+    #[test]
+    fn schema_6_lines_drop_the_retired_columns() {
+        let line = r#"    {"name": "behavior-heavy/x", "rounds": 480, "workers": 4, "seq_ms": 63.1, "sharded_ms": 57.2, "memo_ms": null, "memo_hits": 0, "memo_misses": 0, "rounds_per_sec": 7607.0},"#;
+        let ms = ms_fields(line);
+        assert_eq!(ms.len(), 2);
+        assert_eq!(ms.get("sharded_ms"), Some(&57.2));
+        assert!(!ms.contains_key("par_ms") && !ms.contains_key("pipeline_ms"));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * `--budget-ms MS` — wall-clock guard: exit non-zero if the whole run
 //!   exceeds `MS` milliseconds (default 0 = unlimited). An accidental
 //!   O(n²) regression blows straight through any sane budget.
-//! * `--workers N` — worker threads for the parallel simulation sweeps
+//! * `--workers N` — threads for the sharded data plane in the
+//!   behavior sweep (`SimConfig::behavior_workers`) and the serve pool size
 //!   (default 4; `0` skips the simulation sweeps entirely),
 //! * `--sim-frames N` — schedule frames per simulation measurement
 //!   (default 8; the ~100k-round tier scales this ×4),
@@ -41,8 +42,7 @@ use fppn_apps::{
 use fppn_sched::{list_schedule, list_schedule_naive, Heuristic};
 use fppn_serve::{RunRequest, Server};
 use fppn_sim::{
-    clip_stimuli, simulate_parallel, simulate_pipelined, simulate_seq, tiled_sporadic_trace,
-    CompileConfig, CompiledNetwork, SimConfig,
+    clip_stimuli, simulate, tiled_sporadic_trace, CompileConfig, CompiledNetwork, SimConfig,
 };
 use fppn_taskgraph::derive_task_graph;
 
@@ -95,9 +95,9 @@ struct BenchRecord {
     rounds: usize,
     workers: usize,
     seq: Duration,
-    par: Duration,
+    /// Wall-clock on the sharded data plane (`SimConfig::behavior_workers`);
+    /// `None` where the sweep does not measure it.
     sharded: Option<Duration>,
-    pipeline: Option<Duration>,
     /// Sequential wall-clock with the frame memo on (`SimConfig::memo`);
     /// `None` where the sweep does not measure the memo path.
     memo: Option<Duration>,
@@ -130,14 +130,16 @@ struct ServeRecord {
 /// the compile-vs-cache-hit timing split, all informational; `/5` adds
 /// `memo_ms` (gated, like every `_ms` column) plus the informational
 /// `memo_hits`/`memo_misses` frame-memo counters and the serve
-/// `run_cache_hits` cross-run result-cache counter).
+/// `run_cache_hits` cross-run result-cache counter; `/6` drops `par_ms`
+/// and `pipeline_ms` with the parallel round plane and the streaming
+/// pipeline they measured).
 fn write_bench_json(path: &str, records: &[BenchRecord], serve: &[ServeRecord]) {
     let opt_ms = |d: Option<Duration>| {
         d.map_or("null".to_owned(), |d| format!("{:.6}", d.as_secs_f64() * 1e3))
     };
     let us = |d: Duration| d.as_secs_f64() * 1e6;
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"fppn-bench-sim/5\",");
+    let _ = writeln!(out, "  \"schema\": \"fppn-bench-sim/6\",");
     let _ = writeln!(
         out,
         "  \"host_cpus\": {},",
@@ -148,16 +150,14 @@ fn write_bench_json(path: &str, records: &[BenchRecord], serve: &[ServeRecord]) 
         let _ = write!(
             out,
             "    {{\"name\": \"{}\", \"rounds\": {}, \"workers\": {}, \
-             \"seq_ms\": {:.6}, \"par_ms\": {:.6}, \"sharded_ms\": {}, \"pipeline_ms\": {}, \
+             \"seq_ms\": {:.6}, \"sharded_ms\": {}, \
              \"memo_ms\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \
              \"rounds_per_sec\": {:.1}}}",
             r.name,
             r.rounds,
             r.workers,
             r.seq.as_secs_f64() * 1e3,
-            r.par.as_secs_f64() * 1e3,
             opt_ms(r.sharded),
-            opt_ms(r.pipeline),
             opt_ms(r.memo),
             r.memo_hits,
             r.memo_misses,
@@ -258,9 +258,9 @@ fn fms_speedup_check() {
     );
 }
 
-/// Sequential-vs-parallel simulation wall-clock on multi-frame policy
-/// tables, with a bit-identity cross-check on every run (the parallel
-/// backend is only interesting if its output is *exactly* the oracle's).
+/// Plain vs memoized round loop on multi-frame policy tables, with a
+/// bit-identity cross-check on every run (the memo is only interesting if
+/// its output is *exactly* the plain loop's).
 ///
 /// Where sporadic stimuli are driven, they are **hyperperiod-tiled**
 /// ([`tiled_sporadic_trace`]): every frame carries the same arrival
@@ -268,10 +268,7 @@ fn fms_speedup_check() {
 /// and the `memo_ms` column measures real replay (hits), not a
 /// sweep-specific fallback.
 fn simulation_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<BenchRecord>) {
-    println!(
-        "\nsimulation backends (seq vs {workers} workers vs memoized seq, median of {reps}, \
-         bit-identity checked):"
-    );
+    println!("\nround loop (seq vs memoized seq, median of {reps}, bit-identity checked):");
     let (net, bank, ids) = fms_network(FmsVariant::Original);
     let derived = derive_task_graph(&net, &fms_wcet(&ids)).expect("derivable");
     // Two frame tiers (the base count and 4x — at the default
@@ -313,11 +310,11 @@ fn simulation_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<
             };
             let memo_cfg = SimConfig { memo: true, ..cfg };
             let (seq, t_seq) = median_timed(reps, || {
-                simulate_seq(&net, &bank, &stimuli, &derived, &schedule, &cfg)
+                simulate(&net, &bank, &stimuli, &derived, &schedule, &cfg)
                     .expect("sequential simulation")
             });
             let (memo_run, t_memo) = median_timed(reps, || {
-                simulate_seq(&net, &bank, &stimuli, &derived, &schedule, &memo_cfg)
+                simulate(&net, &bank, &stimuli, &derived, &schedule, &memo_cfg)
                     .expect("memoized sequential simulation")
             });
             assert_eq!(seq.records, memo_run.records, "memo records diverged");
@@ -333,24 +330,10 @@ fn simulation_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<
                     .expect("round tables");
             rounds.compute().expect("memo stats pass");
             let (memo_hits, memo_misses) = rounds.memo_stats();
-            let (par, t_par) = median_timed(reps, || {
-                simulate_parallel(
-                    &net,
-                    &bank,
-                    &stimuli,
-                    &derived,
-                    &schedule,
-                    &SimConfig { workers, ..cfg },
-                )
-                .expect("parallel simulation")
-            });
-            assert_eq!(seq.records, par.records, "backends diverged");
-            assert_eq!(seq.observables, par.observables, "observables diverged");
             println!(
-                "{label:<22} frames={frames:>3} procs={m} | {:>6} rounds | seq {:>9.2?} | par({workers}) {:>9.2?} | memo {:>9.2?} ({memo_hits}h/{memo_misses}m) | memo vs seq {:.2}x",
+                "{label:<22} frames={frames:>3} procs={m} | {:>6} rounds | seq {:>9.2?} | memo {:>9.2?} ({memo_hits}h/{memo_misses}m) | memo vs seq {:.2}x",
                 seq.records.len(),
                 t_seq,
-                t_par,
                 t_memo,
                 t_seq.as_secs_f64() / t_memo.as_secs_f64().max(1e-9),
             );
@@ -359,9 +342,7 @@ fn simulation_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<
                 rounds: seq.records.len(),
                 workers,
                 seq: t_seq,
-                par: t_par,
                 sharded: None,
-                pipeline: None,
                 memo: Some(t_memo),
                 memo_hits,
                 memo_misses,
@@ -371,17 +352,15 @@ fn simulation_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<
 }
 
 /// The data-plane sweep: the behavior-heavy synthetic FPPN (generated
-/// compute kernels) under seq, parallel-with-serialized-behaviors, the
-/// barrier sharded backend, and the streaming pipeline — bit-identity
-/// checked on every run. This is where "Parallelize behavior execution"
-/// and "Overlap behavior execution with round computation" are measured:
-/// on the FMS-style workloads above, behaviors are a few integer folds and
+/// compute kernels) on the sequential store vs the sharded data plane at
+/// `behavior_workers = workers` — bit-identity checked on every run. On
+/// the FMS-style workloads above, behaviors are a few integer folds and
 /// the data plane is noise; here it dominates. The sporadic entry turns on
 /// the stimulus knobs so the server-slot machinery is in the hot loop too.
 fn behavior_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<BenchRecord>) {
     println!(
-        "\nbehavior-heavy data plane (seq vs par vs sharded vs pipeline, {workers} workers, \
-         median of {reps}, bit-identity checked):"
+        "\nbehavior-heavy data plane (seq vs sharded on {workers} threads, median of {reps}, \
+         bit-identity checked):"
     );
     let shape = |jobs: usize, depth: usize| SyntheticGraphConfig {
         jobs,
@@ -444,80 +423,41 @@ fn behavior_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<Be
             ..SimConfig::default()
         };
         let (seq, t_seq) = median_timed(reps, || {
-            simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, &cfg)
+            simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &cfg)
                 .expect("sequential simulation")
         });
-        let (par, t_par) = median_timed(reps, || {
-            simulate_parallel(
-                &w.net,
-                &w.bank,
-                &stimuli,
-                &derived,
-                &schedule,
-                &SimConfig { workers, ..cfg },
-            )
-            .expect("parallel simulation, serialized behaviors")
-        });
         let (sharded, t_sharded) = median_timed(reps, || {
-            simulate_parallel(
+            simulate(
                 &w.net,
                 &w.bank,
                 &stimuli,
                 &derived,
                 &schedule,
                 &SimConfig {
-                    workers,
-                    parallel_behaviors: true,
+                    behavior_workers: workers,
                     ..cfg
                 },
             )
-            .expect("parallel simulation, sharded behaviors")
+            .expect("sharded simulation")
         });
-        let (pipeline, t_pipeline) = median_timed(reps, || {
-            simulate_pipelined(
-                &w.net,
-                &w.bank,
-                &stimuli,
-                &derived,
-                &schedule,
-                &SimConfig {
-                    workers,
-                    pipeline: true,
-                    ..cfg
-                },
-            )
-            .expect("pipelined simulation")
-        });
-        assert_eq!(seq.records, par.records, "par records diverged");
-        assert_eq!(seq.observables, par.observables, "par observables diverged");
         assert_eq!(seq.records, sharded.records, "sharded records diverged");
         assert_eq!(
             seq.observables, sharded.observables,
             "sharded observables diverged"
         );
-        assert_eq!(seq.records, pipeline.records, "pipeline records diverged");
-        assert_eq!(
-            seq.observables, pipeline.observables,
-            "pipeline observables diverged"
-        );
         println!(
-            "{label:<22} frames={frames:>3} | {:>6} rounds | seq {:>9.2?} | par {:>9.2?} | sharded {:>9.2?} | pipeline {:>9.2?} | pipeline vs seq {:.2}x, vs sharded {:.2}x",
+            "{label:<22} frames={frames:>3} | {:>6} rounds | seq {:>9.2?} | sharded {:>9.2?} | sharded vs seq {:.2}x",
             seq.records.len(),
             t_seq,
-            t_par,
             t_sharded,
-            t_pipeline,
-            t_seq.as_secs_f64() / t_pipeline.as_secs_f64().max(1e-9),
-            t_sharded.as_secs_f64() / t_pipeline.as_secs_f64().max(1e-9),
+            t_seq.as_secs_f64() / t_sharded.as_secs_f64().max(1e-9),
         );
         records.push(BenchRecord {
             name: format!("behavior-heavy/{}", label.replace(' ', "_")),
             rounds: seq.records.len(),
             workers,
             seq: t_seq,
-            par: t_par,
             sharded: Some(t_sharded),
-            pipeline: Some(t_pipeline),
             memo: None,
             memo_hits: 0,
             memo_misses: 0,

@@ -93,8 +93,8 @@ impl ArtifactCache {
 /// (network + WCET model + schedule), the complete [`Stimuli`]
 /// (Prop. 2.1: the run-specific input in its entirety), and the
 /// *semantic* [`SimConfig`] fields (frames, overhead model, exec-time
-/// model; backend-selection knobs are excluded because every backend is
-/// bit-identical by contract).
+/// model; `behavior_workers` and `memo` are excluded because every setting
+/// of them is bit-identical by contract).
 ///
 /// Deliberately **not** part of the key: the behavior bank. Behaviors are
 /// arbitrary code and cannot be content-hashed, so [`RunCache`] guards
@@ -122,7 +122,7 @@ struct RunEntry {
 ///
 /// Soundness rests on determinism end to end: the simulator is a pure
 /// function of `(artifact, stimuli, semantic config)` (Prop. 2.1 plus the
-/// cross-backend bit-identity contract), so equal keys denote equal
+/// data-plane and memo bit-identity contract), so equal keys denote equal
 /// outputs. Two guards keep the pure-function claim honest:
 ///
 /// * behavior code is not hashable, so a hit additionally requires the

@@ -53,7 +53,7 @@ pub struct RunRequest {
     pub bank: Arc<BehaviorBank>,
     /// Sporadic arrivals and external inputs for this run.
     pub stimuli: Stimuli,
-    /// Run-phase configuration (frames, models, backend selection).
+    /// Run-phase configuration (frames, models, data plane, memo).
     pub config: SimConfig,
     /// Optional wall-clock budget, measured from submission: a run still
     /// executing past it is cancelled at the next frame/behavior boundary
@@ -314,7 +314,7 @@ struct Shared {
     /// the pool — is observable here ([`Server::workers_alive`]).
     workers_alive: AtomicUsize,
     /// The cross-run result cache, when enabled
-    /// ([`ServerConfig::run_cache_entries`] / `FPPN_SERVE_RUN_CACHE`).
+    /// ([`ServerConfig::run_cache_entries`]).
     run_cache: Option<RunCache>,
 }
 
@@ -332,36 +332,9 @@ pub struct ServerConfig {
     /// would only time out.
     pub shed_expired: bool,
     /// Entry budget of the cross-run result cache ([`crate::RunCache`]):
-    /// `Some(0)` disables it, `Some(n)` caches up to `n` results, and
-    /// `None` (the default) consults the `FPPN_SERVE_RUN_CACHE`
-    /// environment variable with the same grammar (unset/empty/`0` =
-    /// disabled). An invalid variable value panics at server construction,
-    /// naming the variable — a misconfigured deployment must fail loudly,
-    /// not silently serve uncached.
+    /// `Some(n)` caches up to `n` results; `None` (the default) and
+    /// `Some(0)` disable it.
     pub run_cache_entries: Option<usize>,
-}
-
-impl ServerConfig {
-    /// Environment variable consulted when
-    /// [`ServerConfig::run_cache_entries`] is `None`.
-    pub const RUN_CACHE: &'static str = "FPPN_SERVE_RUN_CACHE";
-
-    /// The effective run-cache entry budget (0 = disabled), resolving
-    /// `None` against [`ServerConfig::RUN_CACHE`].
-    fn resolved_run_cache_entries(&self) -> usize {
-        if let Some(n) = self.run_cache_entries {
-            return n;
-        }
-        match std::env::var(Self::RUN_CACHE) {
-            Ok(v) if !v.is_empty() => v.parse::<usize>().unwrap_or_else(|_| {
-                panic!(
-                    "invalid {}={v:?}: expected a non-negative entry count",
-                    Self::RUN_CACHE
-                )
-            }),
-            _ => 0,
-        }
-    }
 }
 
 impl Default for ServerConfig {
@@ -423,10 +396,10 @@ impl Server {
             // Counted up front, not by the spawned threads: an immediate
             // `workers_alive()` call must already see the full pool.
             workers_alive: AtomicUsize::new(workers),
-            run_cache: match config.resolved_run_cache_entries() {
-                0 => None,
-                n => Some(RunCache::new(n)),
-            },
+            run_cache: config
+                .run_cache_entries
+                .filter(|&n| n > 0)
+                .map(RunCache::new),
         });
         let (tx, rx) = unbounded::<Job>();
         let handles = (0..workers)
@@ -581,7 +554,7 @@ impl Server {
     }
 
     /// The cross-run result cache, when enabled at construction
-    /// ([`ServerConfig::run_cache_entries`] / `FPPN_SERVE_RUN_CACHE`).
+    /// ([`ServerConfig::run_cache_entries`]).
     /// Exposes the typed hit/miss counters and the current entry count.
     pub fn run_cache(&self) -> Option<&RunCache> {
         self.shared.run_cache.as_ref()
@@ -874,11 +847,6 @@ mod tests {
 
     #[test]
     fn run_cache_is_off_by_default() {
-        // The default consults FPPN_SERVE_RUN_CACHE; under a harness that
-        // sets it (the CI cache job) this test is vacuous, not wrong.
-        if std::env::var(ServerConfig::RUN_CACHE).is_ok_and(|v| !v.is_empty()) {
-            return;
-        }
         let (server, artifact, bank) = one_process_server();
         assert!(server.run_cache().is_none());
         server.register_tenant("t", 2);
@@ -887,6 +855,28 @@ mod tests {
         let b = server.submit("t", req).unwrap().wait().unwrap();
         assert!(!Arc::ptr_eq(&a.run, &b.run), "no cache, no sharing");
         assert_eq!(server.tenant_stats("t").unwrap().run_cache_hits, 0);
+    }
+
+    #[test]
+    fn invalid_exec_time_model_is_a_typed_sim_error_not_a_panic() {
+        let (server, artifact, bank) = one_process_server();
+        server.register_tenant("t", 2);
+        let alive = server.workers_alive();
+        let bad = SimConfig {
+            exec_time: fppn_sim::ExecTimeModel::Scaled { num: 1, den: 0 },
+            ..SimConfig::default()
+        };
+        let req = RunRequest::new(artifact, bank, Stimuli::new(), bad);
+        let outcome = server.submit("t", req).unwrap().wait();
+        assert!(
+            matches!(outcome, Err(RunError::Sim(SimError::InvalidConfig(_)))),
+            "got {:?}",
+            outcome.map(|r| r.deadline_misses)
+        );
+        let stats = server.tenant_stats("t").unwrap();
+        assert_eq!(stats.panicked, 0, "a config error is not a behavior panic");
+        assert_eq!(stats.completed, 1);
+        assert_eq!(server.workers_alive(), alive);
     }
 
     #[test]

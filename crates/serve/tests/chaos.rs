@@ -15,7 +15,11 @@
 //!   ([`RunError::Shed`]) and bounded retry behave as specified.
 //!
 //! Pool sizes come from `FPPN_SERVE_POOL` (comma-separated) when set, so
-//! CI can sweep 1/2/4 in separate jobs; default is all three.
+//! CI can sweep 1/2/4 in separate jobs; default is all three. The tentpole
+//! sweep also crosses every pool size with both data planes
+//! (`behavior_workers` 0 and 2) and with the run cache off and on, so the
+//! containment contract is checked on the threaded plane and through the
+//! cache, not just on the sequential store.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
@@ -114,6 +118,14 @@ fn sim_cfg() -> SimConfig {
     }
 }
 
+/// The data planes the tentpole sweep crosses with every pool size and
+/// run-cache setting: the sequential store and the sharded plane.
+const BEHAVIOR_WORKERS: [usize; 2] = [0, 2];
+
+/// Run-cache settings of the sweep: off, and large enough to hold every
+/// clean result. Hits must never mask an injected fault.
+const RUN_CACHE_ENTRIES: [Option<usize>; 2] = [Some(0), Some(64)];
+
 fn pool_sizes() -> Vec<usize> {
     match std::env::var("FPPN_SERVE_POOL") {
         Ok(s) => s
@@ -155,9 +167,9 @@ fn assert_identical(expected: &SimRun, got: &SimRun, what: &str) {
 }
 
 /// The tentpole chaos sweep: a pinned fault schedule over a stream of
-/// runs, per pool size. Clean runs must stay oracle-identical, every
-/// fault must surface typed and counted, and the pool must survive all
-/// of it.
+/// runs, per pool size × data plane × run-cache setting. Clean runs must
+/// stay oracle-identical, every fault must surface typed and counted, and
+/// the pool must survive all of it.
 #[test]
 fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
     quiet_injected_panics();
@@ -178,20 +190,39 @@ fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
     let clean_bank = Arc::new(clean_bank);
     let panic_bank = Arc::new(panic_bank);
 
-    for pool in pool_sizes() {
-        let server = Server::new(pool);
+    let sweep = pool_sizes().into_iter().flat_map(|pool| {
+        BEHAVIOR_WORKERS.into_iter().flat_map(move |behavior_workers| {
+            RUN_CACHE_ENTRIES
+                .into_iter()
+                .map(move |run_cache_entries| (pool, behavior_workers, run_cache_entries))
+        })
+    });
+    for (pool, behavior_workers, run_cache_entries) in sweep {
+        let server = Server::with_config(&ServerConfig {
+            workers: pool,
+            run_cache_entries,
+            ..ServerConfig::default()
+        });
         server.register_tenant("chaos", RUNS + 1);
         let artifact = server
             .cache()
             .get_or_compile(&net, &compile_cfg())
             .expect("clean compile");
-        // The oracle: the same artifact run directly, no pool involved.
+        // The oracle: the same artifact run directly on the sequential
+        // store, no pool involved.
         let oracle = artifact
             .simulate(&clean_bank, &Stimuli::new(), &sim_cfg())
             .expect("oracle run");
+        let cfg = SimConfig {
+            behavior_workers,
+            ..sim_cfg()
+        };
+        let setup = format!(
+            "pool {pool} behavior_workers {behavior_workers} run cache {run_cache_entries:?}"
+        );
 
         let mut tickets = Vec::new();
-        let (mut panics, mut slows, mut compile_faults) = (0u64, 0u64, 0u64);
+        let (mut panics, mut slows, mut compile_faults, mut cleans) = (0u64, 0u64, 0u64, 0u64);
         for run in 0..RUNS {
             match plan.fault_for(run) {
                 FaultKind::FailCompile => {
@@ -216,7 +247,7 @@ fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
                         Arc::clone(&artifact),
                         Arc::clone(&panic_bank),
                         Stimuli::new(),
-                        sim_cfg(),
+                        cfg,
                     );
                     tickets.push((run, FaultKind::Panic, server.submit("chaos", req).unwrap()));
                 }
@@ -228,7 +259,7 @@ fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
                         Arc::clone(&artifact),
                         Arc::new(slow_bank),
                         Stimuli::new(),
-                        sim_cfg(),
+                        cfg,
                     )
                     .with_deadline(Duration::from_millis(100));
                     tickets.push((
@@ -238,11 +269,12 @@ fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
                     ));
                 }
                 FaultKind::None => {
+                    cleans += 1;
                     let req = RunRequest::new(
                         Arc::clone(&artifact),
                         Arc::clone(&clean_bank),
                         Stimuli::new(),
-                        sim_cfg(),
+                        cfg,
                     );
                     tickets.push((run, FaultKind::None, server.submit("chaos", req).unwrap()));
                 }
@@ -251,7 +283,7 @@ fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
         assert!(panics > 0 && slows > 0 && compile_faults > 0, "seed too tame");
 
         for (run, kind, ticket) in tickets {
-            let what = format!("pool {pool} run {run} (seed {:#x})", plan.seed());
+            let what = format!("{setup} run {run} (seed {:#x})", plan.seed());
             match (kind, ticket.wait()) {
                 (FaultKind::None, Ok(report)) => {
                     assert_identical(&oracle, &report.run, &what);
@@ -272,21 +304,33 @@ fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
         }
 
         let stats = server.tenant_stats("chaos").unwrap();
-        assert_eq!(stats.admitted, RUNS - compile_faults, "pool {pool}");
-        assert_eq!(stats.completed, stats.admitted, "pool {pool}: drain incomplete");
-        assert_eq!(stats.panicked, panics, "pool {pool}");
-        assert_eq!(stats.timed_out, slows, "pool {pool}");
-        assert_eq!((stats.shed, stats.retried), (0, 0), "pool {pool}");
+        assert_eq!(stats.admitted, RUNS - compile_faults, "{setup}");
+        assert_eq!(stats.completed, stats.admitted, "{setup}: drain incomplete");
+        assert_eq!(stats.panicked, panics, "{setup}");
+        assert_eq!(stats.timed_out, slows, "{setup}");
+        assert_eq!((stats.shed, stats.retried), (0, 0), "{setup}");
+        // Every clean run shares one key. When clean run j is looked up, at
+        // most `pool - 1` earlier ones are still in flight, so all but the
+        // first `pool` clean runs must hit.
+        if run_cache_entries == Some(0) {
+            assert_eq!(stats.run_cache_hits, 0, "{setup}");
+        } else {
+            assert!(
+                stats.run_cache_hits >= cleans.saturating_sub(pool as u64),
+                "{setup}: {} hits over {cleans} clean runs",
+                stats.run_cache_hits
+            );
+        }
 
         // Recoverability: the pool serves a pristine run after the storm.
         let req = RunRequest::new(
             Arc::clone(&artifact),
             Arc::clone(&clean_bank),
             Stimuli::new(),
-            sim_cfg(),
+            cfg,
         );
         let report = server.submit("chaos", req).unwrap().wait().expect("post-chaos run");
-        assert_identical(&oracle, &report.run, &format!("pool {pool} post-chaos"));
+        assert_identical(&oracle, &report.run, &format!("{setup} post-chaos"));
         assert_eq!(server.workers_alive(), pool);
     }
 }

@@ -1,15 +1,16 @@
 //! Sharded behavior execution: the data plane on the worker pool.
 //!
-//! # The remaining Amdahl residue, and why it shards
+//! # Why the data plane shards
 //!
-//! `parallel.rs` shards the §IV round *timing*, but `finalize` used to
-//! replay every behavior through one sequential [`ExecState`] — so the
-//! moment behaviors do real work, the data plane serializes the whole
-//! simulation. The model itself licenses sharding it: each channel has one
-//! writer and one reader (Def. 2.1), so job `p[k]` at canonical position
-//! `i` depends on exactly the jobs of its channel writers at positions
-//! `< i`. Those are a *prefix* of each writer's job sequence, because every
-//! process's jobs are canonically ordered among themselves.
+//! A round costs well under a microsecond, so the §IV round *timing* runs
+//! on one thread (a cross-thread rendezvous per round cannot pay for
+//! itself). Behaviors are different: the moment they do real work, one
+//! sequential [`ExecState`](fppn_core::ExecState) replay serializes the
+//! whole simulation. The model itself licenses sharding it: each channel
+//! has one writer and one reader (Def. 2.1), so job `p[k]` at canonical
+//! position `i` depends on exactly the jobs of its channel writers at
+//! positions `< i`. Those are a *prefix* of each writer's job sequence,
+//! because every process's jobs are canonically ordered among themselves.
 //!
 //! # Protocol
 //!
@@ -31,9 +32,8 @@
 //!
 //! Every gate points strictly backwards in the canonical total order, so
 //! the wait graph is acyclic: the globally-least unexecuted job is always
-//! runnable and its owner always reaches it on the next scan — the same
-//! deadlock-freedom argument (and monitor construction) as the round
-//! backend's completion board.
+//! runnable and its owner always reaches it on the next scan, so the
+//! plane cannot deadlock.
 //!
 //! Determinism does not rest on the scheduler: each read is a pure function
 //! of `(visibility, reader cursor, committed prefix)`, all derived from the
@@ -41,7 +41,6 @@
 //! sequential replay, which the differential suite asserts across worker
 //! counts, workloads and models.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use fppn_core::{
@@ -56,7 +55,7 @@ use crate::cancel::CancelToken;
 use crate::policy::{JobRecord, SimError};
 
 /// Per-process committed-job counters plus the sleep/wake monitor.
-pub(crate) struct ProgressBoard {
+struct ProgressBoard {
     /// `progress[p]` = jobs process `p` has committed. Only `p`'s owning
     /// worker stores; gates load.
     progress: Vec<AtomicU64>,
@@ -70,7 +69,7 @@ pub(crate) struct ProgressBoard {
 }
 
 impl ProgressBoard {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         ProgressBoard {
             progress: (0..n).map(|_| AtomicU64::new(0)).collect(),
             generation: AtomicU64::new(0),
@@ -81,25 +80,16 @@ impl ProgressBoard {
         }
     }
 
-    /// Bumps the generation and wakes sleepers — the wake half of
-    /// [`ProgressBoard::publish`], also used on its own after feed appends
-    /// (a newly *planned* job is progress a blocked worker must see, even
-    /// though no counter moved; the sequencer batches one notify per
-    /// ingested round burst).
-    pub(crate) fn notify(&self) {
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            let _guard = self.monitor.lock();
-            self.cond.notify_all();
-        }
-    }
-
     /// Publishes one committed job of process `p` and wakes sleepers. The
     /// progress store precedes the `SeqCst` generation bump, so a waiter
     /// observing the new generation re-scans against fresh counters.
     fn publish(&self, p: usize, committed: u64) {
         self.progress[p].store(committed, Ordering::SeqCst);
-        self.notify();
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            let _guard = self.monitor.lock();
+            self.cond.notify_all();
+        }
     }
 
     fn snapshot(&self) -> u64 {
@@ -120,14 +110,10 @@ impl ProgressBoard {
         self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
-    pub(crate) fn abort(&self) {
+    fn abort(&self) {
         self.aborted.store(true, Ordering::SeqCst);
         let _guard = self.monitor.lock();
         self.cond.notify_all();
-    }
-
-    pub(crate) fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::SeqCst)
     }
 }
 
@@ -152,7 +138,7 @@ impl Drop for AbortOnUnwind<'_> {
 /// writer fan-in is almost always small, so inlining removes two heap
 /// allocations per round from the planning hot path.
 #[derive(Debug, Clone)]
-pub(crate) struct SmallBuf<T: Copy + Default, const N: usize> {
+struct SmallBuf<T: Copy + Default, const N: usize> {
     inline: [T; N],
     len: usize,
     /// Holds *all* elements once `len > N`; empty while inline.
@@ -160,7 +146,7 @@ pub(crate) struct SmallBuf<T: Copy + Default, const N: usize> {
 }
 
 impl<T: Copy + Default, const N: usize> SmallBuf<T, N> {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         SmallBuf {
             inline: [T::default(); N],
             len: 0,
@@ -168,7 +154,7 @@ impl<T: Copy + Default, const N: usize> SmallBuf<T, N> {
         }
     }
 
-    pub(crate) fn push(&mut self, v: T) {
+    fn push(&mut self, v: T) {
         if self.len < N {
             self.inline[self.len] = v;
         } else {
@@ -180,7 +166,7 @@ impl<T: Copy + Default, const N: usize> SmallBuf<T, N> {
         self.len += 1;
     }
 
-    pub(crate) fn as_slice(&self) -> &[T] {
+    fn as_slice(&self) -> &[T] {
         if self.len <= N {
             &self.inline[..self.len]
         } else {
@@ -200,7 +186,7 @@ impl<T: Copy + Default, const N: usize> FromIterator<T> for SmallBuf<T, N> {
 }
 
 /// The static plan of one executed job.
-pub(crate) struct PlannedJob {
+struct PlannedJob {
     k: u64,
     invoked_at: TimeQ,
     /// Committed-writer-job counts visible per read channel, aligned with
@@ -220,86 +206,46 @@ struct Timeline<'s> {
     next: usize,
 }
 
-/// Turns canonically-ordered records into [`PlannedJob`]s one record at a
-/// time — the single copy of the visibility/gate arithmetic, consumed
-/// whole-frame by [`build_plan`] (the barrier executor) and record-by-record
-/// by the streaming pipeline's sequencer.
-pub(crate) struct RecordPlanner<'n> {
-    net: &'n Fppn,
-    deps: ChannelDependencyMap,
-    committed: Vec<u64>,
-}
-
-impl<'n> RecordPlanner<'n> {
-    pub(crate) fn new(net: &'n Fppn) -> Self {
-        RecordPlanner {
-            net,
-            deps: ChannelDependencyMap::analyze(net),
-            committed: vec![0u64; net.process_count()],
-        }
-    }
-
-    pub(crate) fn deps(&self) -> &ChannelDependencyMap {
-        &self.deps
-    }
-
-    /// Plans the next record of the canonical order; `None` for skipped
-    /// slots (no behavior runs). `rec.global_k` must already be assigned.
-    pub(crate) fn plan(&mut self, rec: &JobRecord) -> Option<PlannedJob> {
-        if rec.skipped {
-            return None;
-        }
+/// Scans the canonical record order once into per-process job plans: each
+/// executed job's `global_k`, the per-read-channel count of writer jobs
+/// canonically before it, and its distinct rendezvous gates.
+fn build_plan(
+    net: &Fppn,
+    deps: &ChannelDependencyMap,
+    records: &[JobRecord],
+) -> Vec<Vec<PlannedJob>> {
+    let mut committed = vec![0u64; net.process_count()];
+    let mut plan: Vec<Vec<PlannedJob>> = (0..net.process_count()).map(|_| Vec::new()).collect();
+    for rec in records.iter().filter(|r| !r.skipped) {
         let p = rec.process;
-        let visible: SmallBuf<u64, 4> = self
-            .deps
+        let visible: SmallBuf<u64, 4> = deps
             .reads(p)
             .iter()
-            .map(|&ch| self.committed[self.net.channel(ch).writer().index()])
+            .map(|&ch| committed[net.channel(ch).writer().index()])
             .collect();
-        let gates: SmallBuf<(usize, u64), 4> = self
-            .deps
+        let gates: SmallBuf<(usize, u64), 4> = deps
             .direct_writers(p)
             .iter()
-            .map(|w| (w.index(), self.committed[w.index()]))
+            .map(|w| (w.index(), committed[w.index()]))
             .filter(|&(_, j)| j > 0)
             .collect();
-        self.committed[p.index()] += 1;
-        debug_assert_eq!(
-            rec.global_k,
-            self.committed[p.index()],
-            "canonical k drifted"
-        );
-        Some(PlannedJob {
+        committed[p.index()] += 1;
+        debug_assert_eq!(rec.global_k, committed[p.index()], "canonical k drifted");
+        plan[p.index()].push(PlannedJob {
             k: rec.global_k,
             invoked_at: rec.invoked_at,
             visible,
             gates,
-        })
-    }
-}
-
-/// Scans the canonical record order once into per-process job plans.
-fn build_plan(
-    net: &Fppn,
-    planner: &mut RecordPlanner<'_>,
-    records: &[JobRecord],
-) -> Vec<Vec<PlannedJob>> {
-    let mut plan: Vec<Vec<PlannedJob>> = (0..net.process_count()).map(|_| Vec::new()).collect();
-    for rec in records {
-        if let Some(job) = planner.plan(rec) {
-            plan[rec.process.index()].push(job);
-        }
+        });
     }
     plan
 }
 
 /// Partitions processes into `workers` chunks, keeping each dependency
-/// component contiguous and balancing by per-process job weight, so
-/// cross-worker rendezvous only happens where the data actually flows.
-/// The barrier executor weighs by exact planned job counts; the streaming
-/// pipeline (which partitions before any record exists) weighs by the
-/// static jobs-per-frame census — the same balance up to skipped slots.
-pub(crate) fn partition(
+/// component contiguous and balancing by per-process job weight (the
+/// exact planned job counts), so cross-worker rendezvous only happens where
+/// the data actually flows.
+fn partition(
     deps: &ChannelDependencyMap,
     weights: &[usize],
     workers: usize,
@@ -422,11 +368,10 @@ pub(crate) fn run_behaviors_sharded(
     workers: usize,
     cancel: Option<&CancelToken>,
 ) -> Result<Observables, SimError> {
-    let mut planner = RecordPlanner::new(net);
-    let plan = build_plan(net, &mut planner, records);
-    let deps = planner.deps();
+    let deps = ChannelDependencyMap::analyze(net);
+    let plan = build_plan(net, &deps, records);
     let weights: Vec<usize> = plan.iter().map(Vec::len).collect();
-    let chunks = partition(deps, &weights, workers);
+    let chunks = partition(&deps, &weights, workers);
 
     let exec = ShardedExec::new(net);
     let shards = exec.shards(stimuli);
@@ -520,225 +465,6 @@ pub(crate) fn run_behaviors_sharded(
     Ok(observables)
 }
 
-// ---------------------------------------------------------------------------
-// Streaming consumption: the pipeline's data plane.
-//
-// The barrier executor above receives the *complete* plan before any worker
-// starts. The streaming pipeline inverts that: the sequencer appends
-// `PlannedJob`s to this feed as round records become canonically final,
-// while behavior workers are already draining it. Everything else — shards,
-// visibility counts, gates, the progress rendezvous — is byte-for-byte the
-// same machinery.
-// ---------------------------------------------------------------------------
-
-/// Per-process queues of planned jobs, appended in canonical order by the
-/// pipeline sequencer and drained by the owning behavior worker.
-pub(crate) struct JobFeed {
-    queues: Vec<Mutex<VecDeque<PlannedJob>>>,
-    /// `planned[p]` = jobs of process `p` appended so far. Workers check it
-    /// lock-free before touching the queue mutex.
-    planned: Vec<AtomicU64>,
-    /// Set once the sequencer has planned every round: an empty queue then
-    /// means *exhausted*, not *starved*.
-    sealed: AtomicBool,
-}
-
-impl JobFeed {
-    pub(crate) fn new(n: usize) -> Self {
-        JobFeed {
-            queues: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
-            planned: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            sealed: AtomicBool::new(false),
-        }
-    }
-
-    /// Appends one planned job of process `p`. The queue push precedes the
-    /// `planned` bump, so a worker observing the new count always finds
-    /// the job in the queue. **Quiet**: the caller must
-    /// [`ProgressBoard::notify`] after its append batch, or blocked
-    /// workers never see the jobs.
-    pub(crate) fn push(&self, p: usize, job: PlannedJob) {
-        self.queues[p].lock().push_back(job);
-        self.planned[p].fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Marks the feed complete (no job will ever be appended again) and
-    /// wakes workers so they can drain and exit.
-    pub(crate) fn seal(&self, board: &ProgressBoard) {
-        self.sealed.store(true, Ordering::SeqCst);
-        board.notify();
-    }
-}
-
-/// One process timeline of a streaming behavior worker: like [`Timeline`],
-/// but jobs are pulled from the [`JobFeed`] instead of a prebuilt vector.
-pub(crate) struct StreamTimeline<'s> {
-    p: usize,
-    shard: ProcessShard<'s>,
-    behavior: BoxedBehavior,
-    /// The next job, pulled but not yet runnable (gate unsatisfied).
-    pending: Option<PlannedJob>,
-    exhausted: bool,
-}
-
-/// Builds the per-worker streaming timelines: processes are partitioned by
-/// dependency component (weighted by the static per-process job census in
-/// `weights`), and each worker receives its processes' shards and behavior
-/// instances.
-pub(crate) fn stream_timelines<'s>(
-    deps: &ChannelDependencyMap,
-    shards: Vec<ProcessShard<'s>>,
-    behaviors: Vec<BoxedBehavior>,
-    weights: &[usize],
-    workers: usize,
-) -> Vec<Vec<StreamTimeline<'s>>> {
-    let chunks = partition(deps, weights, workers);
-    let mut slots: Vec<Option<(ProcessShard<'s>, BoxedBehavior)>> = shards
-        .into_iter()
-        .zip(behaviors)
-        .map(Some)
-        .collect();
-    chunks
-        .iter()
-        .map(|chunk| {
-            chunk
-                .iter()
-                .map(|&p| {
-                    let (shard, behavior) =
-                        slots[p].take().expect("process assigned to one worker");
-                    debug_assert!(
-                        shard
-                            .read_channels()
-                            .eq(deps.reads(shard.process()).iter().copied()),
-                        "shard and dependency-map read orders must agree"
-                    );
-                    StreamTimeline {
-                        p,
-                        shard,
-                        behavior,
-                        pending: None,
-                        exhausted: false,
-                    }
-                })
-                .collect()
-        })
-        .filter(|tls: &Vec<StreamTimeline<'s>>| !tls.is_empty())
-        .collect()
-}
-
-/// Tears the streaming timelines back down into their shards for the
-/// merge, asserting every feed was drained (unless the run aborted).
-pub(crate) fn into_shards(timelines: Vec<Vec<StreamTimeline<'_>>>) -> Vec<ProcessShard<'_>> {
-    timelines
-        .into_iter()
-        .flatten()
-        .map(|tl| {
-            assert!(
-                tl.exhausted && tl.pending.is_none(),
-                "worker exited with unexecuted jobs but no error"
-            );
-            tl.shard
-        })
-        .collect()
-}
-
-/// Advances every streaming timeline owned by one worker until the feed is
-/// sealed and drained, publishing progress after each committed job.
-///
-/// The same acyclic-wait argument as [`run_worker`] applies, with one new
-/// wait reason — "my next job is not planned yet" — discharged by the
-/// sequencer: it plans records in canonical order and every gate of a
-/// planned job points at canonically-earlier jobs, which are therefore
-/// already planned (and will be executed by their owner). The feed's
-/// `seal` + notify breaks the final wait.
-pub(crate) fn run_worker_streaming(
-    board: &ProgressBoard,
-    feed: &JobFeed,
-    timelines: &mut [StreamTimeline<'_>],
-    error: &Mutex<Option<ExecError>>,
-    cancel: Option<&CancelToken>,
-) {
-    let mut guard = AbortOnUnwind { board, armed: true };
-    let mut remaining = timelines.len();
-    let mut idle_scans = 0u32;
-    while remaining > 0 && !board.is_aborted() {
-        let seen = board.snapshot();
-        let mut progressed = false;
-        for tl in timelines.iter_mut() {
-            if tl.exhausted {
-                continue;
-            }
-            loop {
-                if board.is_aborted() {
-                    guard.armed = false;
-                    return;
-                }
-                // Per-job cancellation poll, same rationale as the barrier
-                // executor: the data plane is where wall-clock time goes.
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    board.abort();
-                    guard.armed = false;
-                    return;
-                }
-                if tl.pending.is_none() {
-                    let executed = tl.shard.executed();
-                    if feed.planned[tl.p].load(Ordering::SeqCst) > executed {
-                        tl.pending = feed.queues[tl.p].lock().pop_front();
-                        debug_assert!(tl.pending.is_some(), "planned count exceeds queue");
-                    } else if feed.sealed.load(Ordering::SeqCst) {
-                        // Re-check after observing the seal: the sequencer
-                        // seals strictly after its last push, so a count
-                        // read *after* the seal is final.
-                        if feed.planned[tl.p].load(Ordering::SeqCst) > executed {
-                            continue;
-                        }
-                        tl.exhausted = true;
-                        remaining -= 1;
-                        progressed = true;
-                        break;
-                    } else {
-                        break; // starved: wait for the sequencer
-                    }
-                }
-                let job = tl.pending.as_ref().expect("pulled or pending");
-                if !job
-                    .gates
-                    .as_slice()
-                    .iter()
-                    .all(|&(w, j)| board.progress[w].load(Ordering::SeqCst) >= j)
-                {
-                    break;
-                }
-                let job = tl.pending.take().expect("gate-checked job");
-                let result =
-                    tl.shard
-                        .run_job(&mut tl.behavior, job.k, job.invoked_at, job.visible.as_slice());
-                // Publish even a failed job: its writes committed, exactly
-                // as the sequential store logs a failed job's actions.
-                board.publish(tl.p, tl.shard.executed());
-                progressed = true;
-                if let Err(e) = result {
-                    error.lock().get_or_insert(e);
-                    board.abort();
-                    guard.armed = false;
-                    return;
-                }
-            }
-        }
-        if remaining > 0 && !progressed {
-            idle_scans += 1;
-            if idle_scans < 4 {
-                std::thread::yield_now();
-            } else {
-                board.wait_for_progress(seen);
-            }
-        } else {
-            idle_scans = 0;
-        }
-    }
-    guard.armed = false;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,5 +505,114 @@ mod tests {
             h.join().unwrap();
         });
         assert!(board.aborted.load(Ordering::SeqCst));
+    }
+
+    /// The three ways a sharded run ends early. A behavior panic on a
+    /// worker thread must reach the caller with its original payload (the
+    /// serve layer reports that payload as the tenant's fault), a behavior
+    /// error must come back as `SimError::Exec` exactly as from the
+    /// sequential store, and a tripped token must end the plane with
+    /// `Cancelled`, not a phantom abort.
+    #[test]
+    fn sharded_plane_ends_early_on_panic_error_or_cancel() {
+        use fppn_core::{
+            Behavior, ChannelKind, EventSpec, FppnBuilder, JobCtx, ProcessSpec, Value,
+        };
+        use fppn_sched::{list_schedule, Heuristic};
+        use fppn_taskgraph::{derive_task_graph, WcetModel};
+
+        use crate::{simulate, SimConfig};
+
+        #[derive(Clone, Copy)]
+        enum Mid {
+            Clean,
+            Panic,
+            Fail,
+        }
+        /// Returns a behavior error from its third job on.
+        struct FailFromThird;
+        impl Behavior for FailFromThird {
+            fn on_job(&mut self, ctx: &mut JobCtx<'_>) -> Result<(), ExecError> {
+                if ctx.k() < 3 {
+                    return Ok(());
+                }
+                Err(ExecError::Eval {
+                    process: "mid".into(),
+                    detail: "sharded-plane test error".into(),
+                })
+            }
+        }
+        let ms = TimeQ::from_ms;
+        let chain = |mode: Mid| {
+            let mut b = FppnBuilder::new();
+            let src = b.process(ProcessSpec::new("src", EventSpec::periodic(ms(50))));
+            let mid = b.process(ProcessSpec::new("mid", EventSpec::periodic(ms(50))));
+            let a = b.channel("a", src, mid, ChannelKind::Fifo);
+            b.priority(src, mid);
+            b.behavior(src, move || {
+                Box::new(move |ctx: &mut JobCtx<'_>| ctx.write(a, Value::Int(ctx.k() as i64)))
+            });
+            b.behavior(mid, move || match mode {
+                Mid::Clean => Box::new(move |ctx: &mut JobCtx<'_>| {
+                    let _ = ctx.read(a);
+                }),
+                Mid::Panic => Box::new(move |ctx: &mut JobCtx<'_>| {
+                    if ctx.k() >= 3 {
+                        panic!("sharded-plane test panic");
+                    }
+                }),
+                Mid::Fail => Box::new(FailFromThird),
+            });
+            b.build().unwrap()
+        };
+        let (net, bank) = chain(Mid::Panic);
+        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
+        let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
+        let config = SimConfig {
+            frames: 4,
+            behavior_workers: 2,
+            ..SimConfig::default()
+        };
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &config)
+        }))
+        .expect_err("the behavior panic must propagate");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"sharded-plane test panic"),
+            "payload replaced on the way out"
+        );
+
+        let (net, bank) = chain(Mid::Fail);
+        for behavior_workers in [0, 2] {
+            let outcome = simulate(
+                &net,
+                &bank,
+                &Stimuli::new(),
+                &derived,
+                &schedule,
+                &SimConfig {
+                    behavior_workers,
+                    ..config
+                },
+            );
+            assert!(
+                matches!(&outcome, Err(SimError::Exec(ExecError::Eval { detail, .. }))
+                    if detail == "sharded-plane test error"),
+                "behavior_workers {behavior_workers}: {:?}",
+                outcome.map(|r| r.stats)
+            );
+        }
+
+        let (net, bank) = chain(Mid::Clean);
+        let run = simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &config).unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let stimuli = Stimuli::new();
+        let outcome = run_behaviors_sharded(&net, &bank, &stimuli, &run.records, 2, Some(&token));
+        assert!(
+            matches!(outcome, Err(SimError::Cancelled { completed_rounds: 0 })),
+            "a pre-tripped token must cancel the sharded plane before any job"
+        );
     }
 }

@@ -2,9 +2,10 @@
 //! deadlines and server shutdown in `fppn-serve`.
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle checked *between* units
-//! of work — at round-scan and frame boundaries in every backend, and
-//! before each behavior job — never preemptively. Cooperative checks keep
-//! the determinism contract trivially intact: a cancelled run returns
+//! of work — at round-scan and frame boundaries in the round loop, and
+//! before each behavior job on either data plane — never preemptively.
+//! Cooperative checks keep the determinism contract trivially intact: a
+//! cancelled run returns
 //! [`SimError::Cancelled`](crate::SimError::Cancelled) with partial
 //! progress, while a run that is *not* cancelled performs arithmetic
 //! completely untouched by the token (a relaxed flag load has no effect on
@@ -54,8 +55,8 @@ impl Inner {
     }
 }
 
-/// A cooperative cancellation handle: simulation backends poll it at round
-/// and frame boundaries and abandon the run with
+/// A cooperative cancellation handle: the simulator polls it at round
+/// and frame boundaries (and per behavior job) and abandons the run with
 /// [`SimError::Cancelled`](crate::SimError::Cancelled) once it trips —
 /// via [`CancelToken::cancel`], an expired deadline, or a tripped parent.
 ///

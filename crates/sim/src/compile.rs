@@ -10,10 +10,9 @@
 //! expensive compile phase runs once and arbitrarily many simulations
 //! execute against a *borrowed* artifact.
 //!
-//! The classic entry points ([`crate::simulate`], [`crate::simulate_seq`],
-//! …) are thin compile+run wrappers over this module; `fppn-serve` builds
-//! a content-hash-keyed artifact cache and a multi-tenant run pool on top
-//! of it.
+//! [`crate::simulate`] is the one-shot compile+run wrapper over this
+//! module; `fppn-serve` builds a content-hash-keyed artifact cache and a
+//! multi-tenant run pool on top of it.
 
 use std::error::Error;
 use std::fmt;
@@ -27,11 +26,9 @@ use fppn_taskgraph::{
 use fppn_time::ContentHasher;
 
 use crate::cancel::CancelToken;
-use crate::policy::{
-    run_seq_into, simulate_with_tables, RoundScratch, SimConfig, SimError, SimRun,
-};
+use crate::policy::{run, RoundScratch, SimConfig, SimError, SimRun};
 
-/// The stimuli-independent round tables shared by every backend: CSR
+/// The stimuli-independent round tables shared by every run: CSR
 /// per-processor static orders, CSR wrap-around predecessors, topological
 /// positions and the per-job slot templates. A pure function of
 /// `(network, derived graph, schedule)`, built once per compile.
@@ -241,42 +238,31 @@ impl CompiledNetwork {
         self.content_hash
     }
 
-    /// Simulates against this artifact, dispatching on [`SimConfig`]
-    /// exactly like [`crate::simulate`] — but with zero recompilation:
-    /// the compile-phase tables are borrowed, whatever backend runs.
+    /// Simulates against this artifact with zero recompilation: the
+    /// compile-phase tables are borrowed, whatever [`SimConfig`] says.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on invalid stimuli, behavior failures, or a
-    /// deadlocked (structurally invalid) schedule.
+    /// Returns [`SimError`] on an invalid config or stimuli, behavior
+    /// failures, or a deadlocked (structurally invalid) schedule.
     pub fn simulate(
         &self,
         bank: &BehaviorBank,
         stimuli: &Stimuli,
         config: &SimConfig,
     ) -> Result<SimRun, SimError> {
-        simulate_with_tables(
-            &self.net,
-            bank,
-            stimuli,
-            &self.derived,
-            &self.tables,
-            config,
-            None,
-        )
+        self.run(bank, stimuli, config, None, None)
     }
 
     /// Like [`CompiledNetwork::simulate`], but reusing caller-owned
-    /// scratch buffers when the sequential backend is selected: a worker
-    /// running many simulations back to back keeps its round buffers warm
-    /// across runs (the `fppn-serve` pool gives every worker one
-    /// [`RunScratch`]). Parallel/pipelined configs dispatch normally and
-    /// leave the scratch untouched.
+    /// scratch buffers: a worker running many simulations back to back
+    /// keeps its round buffers (and frame-memo entries) warm across runs —
+    /// the `fppn-serve` pool gives every worker one [`RunScratch`].
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on invalid stimuli, behavior failures, or a
-    /// deadlocked (structurally invalid) schedule.
+    /// Returns [`SimError`] on an invalid config or stimuli, behavior
+    /// failures, or a deadlocked (structurally invalid) schedule.
     pub fn simulate_with_scratch(
         &self,
         bank: &BehaviorBank,
@@ -284,34 +270,18 @@ impl CompiledNetwork {
         config: &SimConfig,
         scratch: &mut RunScratch,
     ) -> Result<SimRun, SimError> {
-        let seq = config.resolved_workers() <= 1
-            && !config.resolved_parallel_behaviors()
-            && !config.resolved_pipeline();
-        if seq {
-            run_seq_into(
-                &self.net,
-                bank,
-                stimuli,
-                &self.derived,
-                &self.tables,
-                config,
-                &mut scratch.inner,
-                None,
-            )
-        } else {
-            self.simulate(bank, stimuli, config)
-        }
+        self.run(bank, stimuli, config, Some(scratch), None)
     }
 
     /// Like [`CompiledNetwork::simulate_with_scratch`], but with
-    /// cooperative cancellation armed: every backend polls `cancel` at
-    /// round/frame boundaries (and the data planes per behavior job) and
+    /// cooperative cancellation armed: the round loop polls `cancel` at
+    /// round/frame boundaries (and the data plane per behavior job) and
     /// abandons the run with [`SimError::Cancelled`] once it trips — the
     /// mechanism behind `fppn-serve`'s per-run deadlines and server
     /// shutdown. A run whose token never trips is bit-identical to
     /// [`CompiledNetwork::simulate`] (the polls read a flag and touch no
-    /// computed value), and the steady-state sequential path still
-    /// allocates nothing (asserted by the `alloc_zero` gate).
+    /// computed value), and the steady-state round loop still allocates
+    /// nothing (asserted by the `alloc_zero` gate).
     ///
     /// # Errors
     ///
@@ -325,38 +295,34 @@ impl CompiledNetwork {
         scratch: &mut RunScratch,
         cancel: &CancelToken,
     ) -> Result<SimRun, SimError> {
-        let seq = config.resolved_workers() <= 1
-            && !config.resolved_parallel_behaviors()
-            && !config.resolved_pipeline();
-        if seq {
-            run_seq_into(
-                &self.net,
-                bank,
-                stimuli,
-                &self.derived,
-                &self.tables,
-                config,
-                &mut scratch.inner,
-                Some(cancel),
-            )
-        } else {
-            simulate_with_tables(
-                &self.net,
-                bank,
-                stimuli,
-                &self.derived,
-                &self.tables,
-                config,
-                Some(cancel),
-            )
-        }
+        self.run(bank, stimuli, config, Some(scratch), Some(cancel))
+    }
+
+    fn run(
+        &self,
+        bank: &BehaviorBank,
+        stimuli: &Stimuli,
+        config: &SimConfig,
+        scratch: Option<&mut RunScratch>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<SimRun, SimError> {
+        run(
+            &self.net,
+            bank,
+            stimuli,
+            &self.derived,
+            &self.tables,
+            config,
+            scratch.map(|s| &mut s.inner),
+            cancel,
+        )
     }
 }
 
 /// Caller-owned scratch buffers for [`CompiledNetwork::simulate_with_scratch`]:
-/// the completion table, per-processor availability and cursor state of
-/// the sequential round loop, reused across runs (records are handed to
-/// each [`SimRun`] and therefore reallocated per run).
+/// the completion table, per-processor availability, cursor state and
+/// frame-memo entries of the round loop, reused across runs (records are
+/// handed to each [`SimRun`] and therefore reallocated per run).
 #[derive(Debug, Default)]
 pub struct RunScratch {
     pub(crate) inner: RoundScratch,

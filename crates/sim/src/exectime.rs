@@ -62,6 +62,10 @@ impl ExecTimeModel {
     /// for every model except a deliberately overrunning `Scaled` with
     /// `num > den` (see [`Self::wcet_bounded`]).
     ///
+    /// The simulator checks this when it binds a run and returns a failure
+    /// as [`SimError::InvalidConfig`](crate::SimError::InvalidConfig), so a
+    /// bad model never reaches [`Self::sampler`]'s panic through a run.
+    ///
     /// # Errors
     ///
     /// Returns the actionable message that [`Self::sampler`] panics with.

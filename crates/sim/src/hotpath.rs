@@ -6,8 +6,11 @@
 //! buffers" loop so `fppn-bench` can (a) assert the steady-state round
 //! loop performs zero heap allocations (the `alloc_zero` regression test)
 //! and (b) report allocation counts from the scalability bin under
-//! `FPPN_ALLOC_STATS=1`. It is `#[doc(hidden)]`: not a supported API,
-//! only a measurement seam.
+//! `FPPN_ALLOC_STATS=1`; the request-level benchmark (`perfbench/`) also
+//! times the round layer alone through it. The round loop behind it is the
+//! same one every run uses, whatever the data plane, so the seam measures
+//! the real thing. It is `#[doc(hidden)]`: not a supported API, only a
+//! measurement seam.
 
 use fppn_core::{Fppn, Stimuli};
 use fppn_taskgraph::DerivedTaskGraph;
@@ -28,7 +31,8 @@ impl<'a> SeqRounds<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] on stimuli inconsistent with the network.
+    /// Returns [`SimError`] on an invalid config or on stimuli inconsistent
+    /// with the network.
     pub fn new(
         net: &Fppn,
         stimuli: &Stimuli,
@@ -62,8 +66,7 @@ impl<'a> SeqRounds<'a> {
 
     /// Cumulative frame-memo `(hits, misses)` across every [`Self::compute`]
     /// so far. Both zero unless the memo engaged (enabled via
-    /// [`SimConfig`](crate::SimConfig) `memo` / `FPPN_SIM_MEMO`, `Wcet`
-    /// exec model, no bounded FIFOs).
+    /// [`SimConfig::memo`], `Wcet` exec model, no bounded FIFOs).
     pub fn memo_stats(&self) -> (u64, u64) {
         self.scratch.memo_stats()
     }

@@ -11,24 +11,23 @@
 //! outputs can be compared bit-for-bit against the zero-delay reference of
 //! `fppn-core` — the workspace's mechanized check of Prop. 4.1.
 //!
-//! Three backends share the round computation: [`simulate_seq`] (the
-//! single-threaded oracle), [`simulate_parallel`] (per-processor timelines
-//! on a worker pool — Prop. 4.1 is precisely the license to parallelize,
-//! with an optional sharded data plane behind a barrier), and
-//! [`simulate_pipelined`] (the streaming frame pipeline: behaviors launch
-//! as soon as their round records are canonically committed, overlapping
-//! the data plane with round computation — no barrier at all). The
-//! differential test-suite proves all three bit-identical. [`simulate`]
-//! dispatches on [`SimConfig`] (`workers == 0` / the `pipeline` flag
-//! resolve from the `FPPN_SIM_WORKERS` / `FPPN_SIM_PIPELINE` environment
-//! variables — see [`SimEnv`]).
+//! One sequential round engine computes every run: it walks the
+//! per-processor static orders frame by frame and (with
+//! [`SimConfig::memo`]) replays repeated frames from a fingerprint-keyed
+//! memo. The only parallel mode is the *data plane*: with
+//! [`SimConfig::behavior_workers`] `≥ 1` the process behaviors execute on
+//! that many threads against per-process shards, rendezvousing on the
+//! canonical record order the round engine already fixed. Prop. 4.1 makes
+//! the observables independent of that choice, and the differential suite
+//! proves every setting bit-identical to the sequential store.
 //!
 //! The compile phase (task-graph derivation, list scheduling, round
 //! tables) is split from the run phase: [`CompiledNetwork`] reifies it as
 //! an immutable, content-hash-keyed artifact ([`compile_key`]) so many
-//! runs — any backend, any stimuli — execute against one borrowed compile.
-//! The classic entry points are thin compile+run wrappers over it;
-//! `fppn-serve` adds an artifact cache and a multi-tenant run pool on top.
+//! runs — any configuration, any stimuli — execute against one borrowed
+//! compile. [`simulate`] is the one-shot compile+run wrapper over the same
+//! run function; `fppn-serve` adds an artifact cache and a multi-tenant
+//! run pool on top.
 //!
 //! See [`simulate`] for the entry point and `fppn-apps`/`fppn-bench` for
 //! full reproductions of the paper's Figures 4 and 6.
@@ -39,15 +38,12 @@
 mod behavior;
 mod cancel;
 mod compile;
-mod env;
 mod exectime;
 mod gantt;
 #[doc(hidden)]
 pub mod hotpath;
 mod metrics;
 mod overhead;
-mod parallel;
-mod pipeline;
 mod policy;
 mod stimgen;
 
@@ -55,7 +51,6 @@ pub use cancel::CancelToken;
 pub use compile::{
     compile_key, CompileConfig, CompileError, CompiledNetwork, RunScratch, StaticTables,
 };
-pub use env::{SimEnv, SimEnvError};
 pub use exectime::{ExecTimeModel, ExecTimeSampler};
 pub use gantt::{Gantt, Segment, SegmentKind};
 pub use metrics::{
@@ -63,11 +58,7 @@ pub use metrics::{
     ResponseStats,
 };
 pub use overhead::OverheadModel;
-pub use parallel::simulate_parallel;
-pub use pipeline::simulate_pipelined;
-pub use policy::{
-    clip_stimuli, simulate, simulate_seq, JobRecord, SimConfig, SimError, SimRun, SimStats,
-};
+pub use policy::{clip_stimuli, simulate, JobRecord, SimConfig, SimError, SimRun, SimStats};
 pub use stimgen::adversarial::{adversarial_stimuli, max_density_flood_trace, AdversarialClass};
 pub use stimgen::{
     random_sporadic_trace, random_stimuli, sporadic_processes, tiled_sporadic_trace,

@@ -25,12 +25,11 @@
 //! yields [`Observables`] that must equal the zero-delay reference
 //! (Prop. 4.1 — asserted by the integration test-suite).
 //!
-//! Two backends share this round computation: [`simulate_seq`] walks the
-//! per-processor cursors on one thread, while
-//! [`simulate_parallel`](crate::simulate_parallel) shards the per-processor
-//! timelines across a worker pool (see `parallel.rs` for the determinism
-//! argument). [`simulate`] dispatches on
-//! [`SimConfig::workers`].
+//! One sequential round engine computes the rounds of every run. The
+//! configuration only chooses how the behaviors replay afterwards: through
+//! the sequential store, or sharded over [`SimConfig::behavior_workers`]
+//! threads (`crate::behavior`). Both consume the same canonical record
+//! order, so both yield the same [`SimRun`].
 
 use std::error::Error;
 use std::fmt;
@@ -45,7 +44,6 @@ use fppn_time::{ContentHasher, TimeQ};
 
 use crate::cancel::CancelToken;
 use crate::compile::StaticTables;
-use crate::env::{SimEnv, SimEnvError};
 use crate::exectime::ExecTimeModel;
 use crate::gantt::{Gantt, Segment, SegmentKind};
 use crate::overhead::OverheadModel;
@@ -59,36 +57,18 @@ pub struct SimConfig {
     pub overhead: OverheadModel,
     /// Actual-execution-time model.
     pub exec_time: ExecTimeModel,
-    /// Simulation worker threads: `0` = auto (the `FPPN_SIM_WORKERS`
-    /// environment variable, else sequential), `1` = sequential, `n > 1` =
-    /// the parallel backend with `n` workers. Every setting produces
-    /// bit-identical results (Prop. 4.1 is the license to parallelize).
-    pub workers: usize,
-    /// Shard the *data plane* too: when enabled (directly or through the
-    /// `FPPN_SIM_PAR_BEHAVIORS` environment variable), the parallel backend
-    /// executes process behaviors on the worker pool, rendezvousing on
-    /// per-process progress counters derived from the static
-    /// channel-dependency map, instead of funneling every `run_job` through
-    /// one sequential store. Output stays bit-identical to
-    /// [`simulate_seq`]; networks the sharded store cannot express
-    /// (bounded-capacity cross-process FIFOs) fall back to sequential
-    /// behavior execution automatically.
-    pub parallel_behaviors: bool,
-    /// Stream the data plane behind round computation: when enabled
-    /// (directly or through the `FPPN_SIM_PIPELINE` environment variable),
-    /// [`simulate`] dispatches to the pipelined backend
-    /// ([`simulate_pipelined`](crate::simulate_pipelined)): round records
-    /// are published incrementally through a per-processor completion
-    /// frontier, and each behavior launches as soon as its own record and
-    /// its upstream writers' records are canonically committed — no
-    /// "all rounds first" barrier. Subsumes [`SimConfig::parallel_behaviors`]
-    /// (the pipeline shards the data plane whenever the network supports
-    /// it, and streams behaviors through the sequential store otherwise).
-    /// Output stays bit-identical to [`simulate_seq`].
-    pub pipeline: bool,
-    /// Frame-resolution memoization: when enabled (directly or through the
-    /// `FPPN_SIM_MEMO` environment variable), the sequential round loop
-    /// fingerprints each frame's carry-in state (processor availability and
+    /// Behavior-execution threads. `0` (the default) replays every
+    /// behavior through one sequential store. `n ≥ 1` runs the *sharded
+    /// data plane*: processes are dealt to `n` threads, each executing its
+    /// jobs against a per-process shard and rendezvousing on per-process
+    /// progress counters derived from the static channel-dependency map.
+    /// Networks the sharded store cannot express (bounded-capacity
+    /// cross-process FIFOs) fall back to the sequential store. Every
+    /// setting is bit-identical (Prop. 4.1: observables do not depend on
+    /// execution order).
+    pub behavior_workers: usize,
+    /// Frame-resolution memoization: the round loop fingerprints each
+    /// frame's carry-in state (processor availability and
     /// wrap-predecessor completions relative to the frame base, the frame's
     /// slot resolutions and release gate) and **replays** the round table
     /// of an earlier fingerprint-equal frame — shifted by the frame offset —
@@ -98,100 +78,22 @@ pub struct SimConfig {
     /// networks without bounded-capacity FIFOs; everything else (sporadic
     /// frames whose fingerprints differ, stochastic exec models, bounded
     /// FIFOs) falls back to full computation. Output is bit-identical
-    /// either way (asserted by the differential suite); the
-    /// parallel/pipelined round planes compute live and never consult the
-    /// memo.
+    /// either way (asserted by the differential suite), whatever
+    /// [`SimConfig::behavior_workers`] says.
     pub memo: bool,
 }
 
 impl SimConfig {
-    /// The default configuration with every environment override applied:
-    /// `FPPN_SIM_WORKERS` → [`SimConfig::workers`], `FPPN_SIM_PAR_BEHAVIORS`
-    /// → [`SimConfig::parallel_behaviors`], `FPPN_SIM_PIPELINE` →
-    /// [`SimConfig::pipeline`] (see [`crate::SimEnv`] for the grammar).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimEnvError`] — naming the offending variable — on an
-    /// invalid value; unset/empty variables keep the defaults.
-    pub fn from_env() -> Result<Self, SimEnvError> {
-        let env = SimEnv::from_env()?;
-        Ok(SimConfig {
-            workers: env.workers.unwrap_or(0),
-            parallel_behaviors: env.parallel_behaviors.unwrap_or(false),
-            pipeline: env.pipeline.unwrap_or(false),
-            memo: env.memo.unwrap_or(false),
-            ..SimConfig::default()
-        })
-    }
-
-    /// The worker count after resolving `workers == 0` against the
-    /// `FPPN_SIM_WORKERS` environment variable (absent/empty → 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a message naming the variable if it holds an invalid
-    /// value (use [`SimConfig::from_env`] for a `Result`).
-    pub fn resolved_workers(&self) -> usize {
-        if self.workers != 0 {
-            return self.workers;
-        }
-        SimEnv::from_env_or_panic().workers.unwrap_or(1)
-    }
-
-    /// Whether behavior execution shards in the barrier backend: the
-    /// explicit field, or the `FPPN_SIM_PAR_BEHAVIORS` environment variable
-    /// when the field is unset — the hook the CI determinism job uses to
-    /// force the sharded data plane through the entire test-suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a message naming the variable on an invalid value.
-    pub fn resolved_parallel_behaviors(&self) -> bool {
-        self.parallel_behaviors
-            || SimEnv::from_env_or_panic()
-                .parallel_behaviors
-                .unwrap_or(false)
-    }
-
-    /// Whether the streaming pipeline is requested: the explicit field, or
-    /// the `FPPN_SIM_PIPELINE` environment variable when the field is
-    /// unset — the hook the CI pipeline job uses to force the streaming
-    /// backend through the entire test-suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a message naming the variable on an invalid value.
-    pub fn resolved_pipeline(&self) -> bool {
-        self.pipeline || SimEnv::from_env_or_panic().pipeline.unwrap_or(false)
-    }
-
-    /// Whether frame memoization is requested: the explicit field, or the
-    /// `FPPN_SIM_MEMO` environment variable when the field is unset — the
-    /// hook the CI memo job uses to force the memoized round loop through
-    /// the entire test-suite. Requesting the memo does not guarantee
-    /// replay: the engine additionally requires the deterministic
-    /// [`ExecTimeModel::Wcet`] model and a network without bounded-capacity
-    /// FIFOs before it consults the table at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a message naming the variable on an invalid value.
-    pub fn resolved_memo(&self) -> bool {
-        self.memo || SimEnv::from_env_or_panic().memo.unwrap_or(false)
-    }
-
     /// Absorbs the *semantic* configuration — the fields that change what a
     /// simulation computes — into a content hash: frame count, overhead
     /// model, and execution-time model (tagged, with its parameters,
     /// including the `Jitter` seed).
     ///
-    /// `workers`, `parallel_behaviors`, `pipeline` and `memo` are
-    /// deliberately **excluded**: every backend is bit-identical to the
-    /// sequential oracle (and the memoized loop to the plain one), so a
-    /// result cached under one backend is valid for all of them — that
-    /// cross-backend reuse is the point of keying the serve-layer
-    /// `RunCache` on this fingerprint.
+    /// `behavior_workers` and `memo` are deliberately **excluded**: the
+    /// sharded data plane is bit-identical to the sequential store (and the
+    /// memoized loop to the plain one), so a result cached under one
+    /// setting is valid for all of them — that reuse is the point of keying
+    /// the serve-layer `RunCache` on this fingerprint.
     pub fn content_hash_into(&self, h: &mut ContentHasher) {
         h.write_u64(self.frames);
         h.write_time(self.overhead.first_frame);
@@ -223,9 +125,7 @@ impl Default for SimConfig {
             frames: 1,
             overhead: OverheadModel::NONE,
             exec_time: ExecTimeModel::Wcet,
-            workers: 0,
-            parallel_behaviors: false,
-            pipeline: false,
+            behavior_workers: 0,
             memo: false,
         }
     }
@@ -310,6 +210,10 @@ pub enum SimError {
         /// Rounds fully computed before the run observed the cancellation.
         completed_rounds: usize,
     },
+    /// The [`SimConfig`] is unusable, e.g. an [`ExecTimeModel`] that fails
+    /// [`ExecTimeModel::validate`]. Raised when the run is bound, before
+    /// any round is computed.
+    InvalidConfig(String),
 }
 
 impl fmt::Display for SimError {
@@ -326,6 +230,7 @@ impl fmt::Display for SimError {
                 f,
                 "run cancelled after {completed_rounds} completed rounds"
             ),
+            SimError::InvalidConfig(msg) => write!(f, "invalid simulation config: {msg}"),
         }
     }
 }
@@ -521,11 +426,10 @@ impl FrameMemo {
     }
 }
 
-/// The frame-repeated policy table plus everything a backend needs to
-/// compute rounds: static per-processor orders, wrap-around predecessors,
-/// per-instance slot resolutions, pre-drawn execution times and per-frame
-/// release gates. Shared by the sequential and parallel backends so both
-/// perform *identical arithmetic* on every round.
+/// The frame-repeated policy table plus everything the round loop needs:
+/// static per-processor orders, wrap-around predecessors, per-instance
+/// slot resolutions, pre-drawn execution times and per-frame release
+/// gates.
 ///
 /// The compile-phase tables (CSR orders, wrap predecessors, topological
 /// positions, slot templates) are **borrowed** from a
@@ -535,10 +439,10 @@ impl FrameMemo {
 /// still flat struct-of-arrays indexed by `frame * n_jobs + job` so the
 /// steady-state loop does contiguous indexed loads.
 pub(crate) struct RoundEngine<'a> {
-    pub(crate) graph: &'a TaskGraph,
-    pub(crate) frames: u64,
-    pub(crate) n_jobs: usize,
-    pub(crate) m_procs: usize,
+    graph: &'a TaskGraph,
+    frames: u64,
+    n_jobs: usize,
+    m_procs: usize,
     /// Borrowed compile-phase tables (CSR orders, wrap preds, topo, …).
     tables: &'a StaticTables,
     /// Slot-resolution slabs, `[frame * n_jobs + job]`.
@@ -551,8 +455,8 @@ pub(crate) struct RoundEngine<'a> {
     frame_gates: Vec<TimeQ>,
     h: TimeQ,
     overhead: OverheadModel,
-    /// Whether the sequential loop may consult the frame memo: requested
-    /// via [`SimConfig::resolved_memo`] **and** sound to replay — the
+    /// Whether the round loop may consult the frame memo: requested via
+    /// [`SimConfig::memo`] **and** sound to replay — the
     /// deterministic [`ExecTimeModel::Wcet`] model on a network without
     /// bounded-capacity FIFOs. Everything else computes every frame live.
     memo_enabled: bool,
@@ -566,15 +470,15 @@ pub(crate) struct RoundEngine<'a> {
     /// once per compute. Empty unless the memo is enabled; the
     /// collision-audit path builds its own copy on demand.
     frame_fp_static: Vec<u64>,
-    /// Cooperative cancellation, polled at round/frame boundaries by every
-    /// backend. `None` (the default) compiles the checks down to a branch
-    /// on a constant — classic runs pay nothing.
+    /// Cooperative cancellation, polled at round/frame boundaries and per
+    /// behavior job. `None` (the default) compiles the checks down to a
+    /// branch on a constant — classic runs pay nothing.
     cancel: Option<&'a CancelToken>,
 }
 
 impl<'a> RoundEngine<'a> {
-    /// Validates stimuli and binds the per-run slabs to the borrowed
-    /// compile-phase tables.
+    /// Validates the configuration and the stimuli and binds the per-run
+    /// slabs to the borrowed compile-phase tables.
     pub(crate) fn new(
         net: &Fppn,
         stimuli: &Stimuli,
@@ -582,6 +486,7 @@ impl<'a> RoundEngine<'a> {
         tables: &'a StaticTables,
         config: &SimConfig,
     ) -> Result<Self, SimError> {
+        config.exec_time.validate().map_err(SimError::InvalidConfig)?;
         stimuli.validate(net)?;
         let graph = &derived.graph;
         let h = derived.hyperperiod;
@@ -603,8 +508,7 @@ impl<'a> RoundEngine<'a> {
         });
 
         // Pre-drawn execution times in canonical (frame, job-id) order, so
-        // the random draws do not depend on simulation internals (or on the
-        // backend executing the rounds).
+        // the random draws do not depend on simulation internals.
         let mut sampler = config.exec_time.sampler();
         let mut exec_times = Vec::with_capacity(total);
         for _ in 0..frames {
@@ -621,7 +525,7 @@ impl<'a> RoundEngine<'a> {
         // conservative — round *times* ignore capacities, but capacity
         // networks already take fallback paths elsewhere (sharding) and the
         // differential suite pins this gate as a fallback case.
-        let memo_enabled = config.resolved_memo()
+        let memo_enabled = config.memo
             && matches!(config.exec_time, ExecTimeModel::Wcet)
             && !net.channels().iter().any(|c| c.capacity().is_some());
 
@@ -703,30 +607,25 @@ impl<'a> RoundEngine<'a> {
             .collect()
     }
 
-    /// Arms cooperative cancellation: every backend polls `token` at
-    /// round-scan / frame boundaries and returns
-    /// [`SimError::Cancelled`] once it trips.
+    /// Arms cooperative cancellation: the round loop polls `token` at
+    /// round-scan / frame boundaries, the data plane per behavior job, and
+    /// both return [`SimError::Cancelled`] once it trips.
     pub(crate) fn set_cancel(&mut self, token: &'a CancelToken) {
         self.cancel = Some(token);
     }
 
     /// Whether the armed token (if any) has tripped. Allocation-free.
-    pub(crate) fn cancelled(&self) -> bool {
+    fn cancelled(&self) -> bool {
         self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 
-    /// The armed token, for backends that hand it to behavior workers.
-    pub(crate) fn cancel_token(&self) -> Option<&'a CancelToken> {
-        self.cancel
-    }
-
     /// Total number of rounds over all frames.
-    pub(crate) fn total_rounds(&self) -> usize {
+    fn total_rounds(&self) -> usize {
         self.frames as usize * self.n_jobs
     }
 
     /// Processor `m`'s static round order.
-    pub(crate) fn proc_order(&self, m: usize) -> &[JobId] {
+    fn proc_order(&self, m: usize) -> &[JobId] {
         let t = self.tables;
         &t.proc_order_data[t.proc_order_bounds[m]..t.proc_order_bounds[m + 1]]
     }
@@ -745,7 +644,7 @@ impl<'a> RoundEngine<'a> {
     /// blocks), otherwise the finished [`JobRecord`]; the caller publishes
     /// `record.completion` as this round's completion and advances the
     /// processor's availability to it.
-    pub(crate) fn try_round(
+    fn try_round(
         &self,
         frame: u64,
         id: JobId,
@@ -803,77 +702,18 @@ impl<'a> RoundEngine<'a> {
         })
     }
 
-    /// Drives the per-processor cursors to completion on one thread,
-    /// calling `advance(frame, id, processor)` for the next round of each
-    /// timeline; `advance` returns whether that round could complete.
-    /// This is the single copy of the cursor/stall skeleton shared by the
-    /// sequential backend and the order pre-check, so their round order —
-    /// and their `Stalled { completed_rounds }` accounting — can never
-    /// drift apart.
-    fn drive_cursors(
-        &self,
-        cursors: &mut Vec<(u64, usize)>,
-        mut advance: impl FnMut(u64, JobId, usize) -> bool,
-    ) -> Result<(), SimError> {
-        let total_rounds = self.total_rounds();
-        cursors.clear();
-        cursors.resize(self.m_procs, (0u64, 0usize));
-        let mut done_rounds = 0usize;
-        while done_rounds < total_rounds {
-            if self.cancelled() {
-                return Err(SimError::Cancelled {
-                    completed_rounds: done_rounds,
-                });
-            }
-            let mut progressed = false;
-            for (m, cursor) in cursors.iter_mut().enumerate() {
-                let order = self.proc_order(m);
-                loop {
-                    let (frame, idx) = *cursor;
-                    if frame >= self.frames {
-                        break;
-                    }
-                    if idx >= order.len() {
-                        *cursor = (frame + 1, 0);
-                        continue;
-                    }
-                    if !advance(frame, order[idx], m) {
-                        break;
-                    }
-                    *cursor = (frame, idx + 1);
-                    done_rounds += 1;
-                    progressed = true;
-                }
-            }
-            if !progressed && done_rounds < total_rounds {
-                return Err(SimError::Stalled {
-                    completed_rounds: done_rounds,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Computes every round on one thread by polling per-processor cursors.
-    pub(crate) fn compute_rounds_seq(&self) -> Result<Vec<JobRecord>, SimError> {
-        let mut scratch = RoundScratch::new();
-        self.compute_rounds_seq_into(&mut scratch)?;
-        Ok(std::mem::take(&mut scratch.records))
-    }
-
-    /// [`RoundEngine::compute_rounds_seq`] into caller-owned scratch
-    /// buffers: after one warm-up pass over the same engine shape, repeated
-    /// calls perform **zero heap allocations** (asserted by the
-    /// `alloc_zero` regression test in `fppn-bench`). The computed records
-    /// are left in `scratch.records`.
+    /// Computes every round on one thread into caller-owned scratch
+    /// buffers by polling per-processor cursors: after one warm-up pass
+    /// over the same engine shape, repeated calls perform **zero heap
+    /// allocations** (asserted by the `alloc_zero` regression test in
+    /// `fppn-bench`). The computed records are left in `scratch.records`.
     ///
     /// When the engine's memo gate is open this routes through the
     /// fingerprint-keyed frame loop; a `Stalled` result there falls back to
-    /// the plain free-interleave loop, whose `completed_rounds` accounting
-    /// is the one every backend agrees on (frame-major driving can stop
-    /// earlier than the dataflow fixed point when a stall in frame `f`
-    /// keeps it from ever attempting frame `f+1` rounds other processors
-    /// could still finish).
+    /// the plain free-interleave loop below, whose `completed_rounds`
+    /// accounting is the dataflow fixed point (frame-major driving can stop
+    /// earlier when a stall in frame `f` keeps it from ever attempting
+    /// frame `f+1` rounds other processors could still finish).
     pub(crate) fn compute_rounds_seq_into(
         &self,
         scratch: &mut RoundScratch,
@@ -891,24 +731,53 @@ impl<'a> RoundEngine<'a> {
             records,
             memo: _,
         } = scratch;
+        let total_rounds = self.total_rounds();
         completion.clear();
-        completion.resize(self.total_rounds(), None);
+        completion.resize(total_rounds, None);
         proc_avail.clear();
         proc_avail.resize(self.m_procs, TimeQ::ZERO);
         records.clear();
-        records.reserve(self.total_rounds());
+        records.reserve(total_rounds);
+        cursors.clear();
+        cursors.resize(self.m_procs, (0u64, 0usize));
         let n_jobs = self.n_jobs;
-        self.drive_cursors(cursors, |frame, id, m| {
-            let lookup =
-                |f: u64, p: JobId| completion[f as usize * n_jobs + p.index()];
-            let Some(rec) = self.try_round(frame, id, m, proc_avail[m], lookup) else {
-                return false;
-            };
-            completion[frame as usize * n_jobs + id.index()] = Some(rec.completion);
-            proc_avail[m] = rec.completion;
-            records.push(rec);
-            true
-        })
+        while records.len() < total_rounds {
+            if self.cancelled() {
+                return Err(SimError::Cancelled {
+                    completed_rounds: records.len(),
+                });
+            }
+            let before = records.len();
+            for (m, cursor) in cursors.iter_mut().enumerate() {
+                let order = self.proc_order(m);
+                loop {
+                    let (frame, idx) = *cursor;
+                    if frame >= self.frames {
+                        break;
+                    }
+                    if idx >= order.len() {
+                        *cursor = (frame + 1, 0);
+                        continue;
+                    }
+                    let id = order[idx];
+                    let lookup =
+                        |f: u64, p: JobId| completion[f as usize * n_jobs + p.index()];
+                    let Some(rec) = self.try_round(frame, id, m, proc_avail[m], lookup) else {
+                        break;
+                    };
+                    completion[frame as usize * n_jobs + id.index()] = Some(rec.completion);
+                    proc_avail[m] = rec.completion;
+                    records.push(rec);
+                    *cursor = (frame, idx + 1);
+                }
+            }
+            if records.len() == before {
+                return Err(SimError::Stalled {
+                    completed_rounds: records.len(),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Fingerprints frame `frame`'s full round-computation input, relative
@@ -1081,7 +950,7 @@ impl<'a> RoundEngine<'a> {
                 // preserve the order, so the whole memoized run streams
                 // out already canonical and `canonicalize`'s sorted fast
                 // path collapses the final sort to a linear scan.
-                let topo_pos = self.topo_positions();
+                let topo_pos = &self.tables.topo_pos;
                 records[start..].sort_unstable_by(|a, b| {
                     (a.completion, topo_pos[a.job.index()])
                         .cmp(&(b.completion, topo_pos[b.job.index()]))
@@ -1144,49 +1013,13 @@ impl<'a> RoundEngine<'a> {
         Ok(())
     }
 
-    /// Checks that the per-processor orders are consistent with the
-    /// precedence constraints — i.e. that the full round table completes —
-    /// *without* computing any times. The parallel backend runs this before
-    /// spawning workers: its blocking rendezvous would otherwise deadlock
-    /// (rather than error) on a structurally invalid schedule. The count of
-    /// completable rounds is a unique dataflow fixed point, so the error
-    /// matches the sequential backend's exactly.
-    pub(crate) fn check_order(&self) -> Result<(), SimError> {
-        let mut done = vec![false; self.total_rounds()];
-        let mut cursors = Vec::new();
-        let n_jobs = self.n_jobs;
-        self.drive_cursors(&mut cursors, |frame, id, _m| {
-            for p in self.graph.predecessors(id) {
-                if !done[frame as usize * n_jobs + p.index()] {
-                    return false;
-                }
-            }
-            if frame > 0 {
-                for p in self.wrap_preds_of(id) {
-                    if !done[(frame as usize - 1) * n_jobs + p.index()] {
-                        return false;
-                    }
-                }
-            }
-            done[frame as usize * n_jobs + id.index()] = true;
-            true
-        })
-    }
-
-    /// The topological position of every job — the third component of the
-    /// canonical record key `(completion, frame, topo)`. Borrowed from the
-    /// compile-phase tables, so repeated runs share one copy.
-    pub(crate) fn topo_positions(&self) -> &'a [usize] {
-        &self.tables.topo_pos
-    }
-
     /// Sorts `records` into the canonical total order `(completion, frame,
     /// topological position)` and assigns each executed round its global
-    /// invocation count — a pure function of that order, so every backend
-    /// (and the streaming sequencer, which never materializes an unsorted
-    /// vector at all) computes identical identities.
-    pub(crate) fn canonicalize(&self, net: &Fppn, records: &mut [JobRecord]) {
-        let topo_pos = self.topo_positions();
+    /// invocation count — a pure function of that order, so both data
+    /// planes see identical job identities. The topological positions are
+    /// borrowed from the compile-phase tables.
+    fn canonicalize(&self, net: &Fppn, records: &mut [JobRecord]) {
+        let topo_pos = &self.tables.topo_pos;
         let key = |r: &JobRecord| (r.completion, r.frame, topo_pos[r.job.index()] as u32);
         // Sorted fast path: the memoized sequential loop emits each frame
         // block pre-sorted, so on schedulable workloads (no frame overruns
@@ -1236,12 +1069,10 @@ impl<'a> RoundEngine<'a> {
     /// The canonical order `(completion, frame, topological position)` is a
     /// *total* order on rounds (the topological position is unique per job
     /// within a frame), so the result is independent of the order in which
-    /// a backend produced the records — the keystone of the bit-identity
-    /// contract between the backends. This is the **barrier** finalization:
-    /// every record exists before the first behavior fires. The streaming
-    /// backend (`crate::pipeline`) instead interleaves the same three steps
-    /// per record and calls [`RoundEngine::render`] directly.
-    pub(crate) fn finalize(
+    /// the round loop produced the records (plain or memoized) — the
+    /// keystone of the bit-identity contract. Every record exists before
+    /// the first behavior fires.
+    fn finalize(
         &self,
         net: &Fppn,
         bank: &BehaviorBank,
@@ -1287,10 +1118,8 @@ impl<'a> RoundEngine<'a> {
 
     /// Renders the [`SimRun`] from canonically-ordered records (with
     /// `global_k` assigned) and already-computed observables: the Gantt,
-    /// then the aggregate statistics. Shared by the barrier finalization
-    /// above and the streaming pipeline, so presentation can never drift
-    /// between backends.
-    pub(crate) fn render(
+    /// then the aggregate statistics.
+    fn render(
         &self,
         net: &Fppn,
         records: Vec<JobRecord>,
@@ -1370,16 +1199,16 @@ impl<'a> RoundEngine<'a> {
     }
 }
 
-/// Simulates `config.frames` frames of the static-order policy,
-/// dispatching on [`SimConfig`]: the streaming pipeline when
-/// [`SimConfig::pipeline`] resolves true, else the sequential or barrier
-/// parallel backend per [`SimConfig::workers`] (all backends produce
-/// bit-identical results).
+/// Simulates `config.frames` frames of the static-order policy: compiles
+/// the round tables for `schedule`, then runs them (the one-shot form of
+/// [`CompiledNetwork::simulate`](crate::CompiledNetwork::simulate)). The
+/// default config is the sequential oracle the differential suite checks
+/// every other [`SimConfig`] against.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] on invalid stimuli, behavior failures, or a
-/// deadlocked (structurally invalid) schedule.
+/// Returns [`SimError`] on an invalid config or stimuli, behavior
+/// failures, or a deadlocked (structurally invalid) schedule.
 pub fn simulate(
     net: &Fppn,
     bank: &BehaviorBank,
@@ -1389,123 +1218,45 @@ pub fn simulate(
     config: &SimConfig,
 ) -> Result<SimRun, SimError> {
     let tables = StaticTables::build(net, derived, schedule);
-    simulate_with_tables(net, bank, stimuli, derived, &tables, config, None)
+    run(net, bank, stimuli, derived, &tables, config, None, None)
 }
 
-/// The mode dispatcher against already-built compile-phase tables: every
-/// backend borrows the same [`StaticTables`], so switching modes on one
-/// compiled network performs zero recompilation. [`simulate`] is the
-/// compile+run wrapper over this;
-/// [`CompiledNetwork::simulate`](crate::CompiledNetwork::simulate) calls
-/// it with cached tables.
-pub(crate) fn simulate_with_tables(
-    net: &Fppn,
-    bank: &BehaviorBank,
-    stimuli: &Stimuli,
-    derived: &DerivedTaskGraph,
-    tables: &StaticTables,
-    config: &SimConfig,
-    cancel: Option<&CancelToken>,
-) -> Result<SimRun, SimError> {
-    let workers = config.resolved_workers();
-    // The pipeline routes even at one worker, exactly like behavior
-    // sharding below: a 1-worker pipelined run exercises the full
-    // frontier/feed machinery.
-    if config.resolved_pipeline() {
-        return crate::pipeline::simulate_pipelined_tables(
-            net,
-            bank,
-            stimuli,
-            derived,
-            tables,
-            config,
-            workers.max(1),
-            cancel,
-        );
-    }
-    // Behavior sharding routes through the parallel backend even at one
-    // worker: a 1-worker sharded run exercises the full rendezvous
-    // machinery, exactly like the 1-worker round backend.
-    if workers <= 1 && !config.resolved_parallel_behaviors() {
-        run_seq(net, bank, stimuli, derived, tables, config, cancel)
-    } else {
-        crate::parallel::simulate_parallel_tables(
-            net,
-            bank,
-            stimuli,
-            derived,
-            tables,
-            config,
-            workers.max(1),
-            cancel,
-        )
-    }
-}
-
-/// The sequential backend: one thread walks all per-processor cursors.
+/// One run against borrowed compile-phase tables: bind the round engine,
+/// compute every round, then canonicalize, run the behaviors on the data
+/// plane `config.behavior_workers` selects, and render. Every public entry
+/// point is a wrapper over this.
 ///
-/// Retained (and exported) as the differential oracle for the parallel
-/// backend, exactly like `list_schedule_naive` oracles the event-driven
-/// scheduler.
-///
-/// # Errors
-///
-/// Returns [`SimError`] on invalid stimuli, behavior failures, or a
-/// deadlocked (structurally invalid) schedule.
-pub fn simulate_seq(
-    net: &Fppn,
-    bank: &BehaviorBank,
-    stimuli: &Stimuli,
-    derived: &DerivedTaskGraph,
-    schedule: &StaticSchedule,
-    config: &SimConfig,
-) -> Result<SimRun, SimError> {
-    let tables = StaticTables::build(net, derived, schedule);
-    run_seq(net, bank, stimuli, derived, &tables, config, None)
-}
-
-/// The sequential backend against borrowed compile-phase tables.
-pub(crate) fn run_seq(
-    net: &Fppn,
-    bank: &BehaviorBank,
-    stimuli: &Stimuli,
-    derived: &DerivedTaskGraph,
-    tables: &StaticTables,
-    config: &SimConfig,
-    cancel: Option<&CancelToken>,
-) -> Result<SimRun, SimError> {
-    let mut engine = RoundEngine::new(net, stimuli, derived, tables, config)?;
-    if let Some(token) = cancel {
-        engine.set_cancel(token);
-    }
-    let records = engine.compute_rounds_seq()?;
-    // The oracle never shards behaviors, whatever the config says.
-    engine.finalize(net, bank, stimuli, records, 0)
-}
-
-/// [`run_seq`] into caller-owned scratch buffers: the round loop reuses
-/// the scratch's completion/availability/cursor vectors across runs
-/// (records move into the returned [`SimRun`]). The `fppn-serve` worker
-/// pool drives this through
-/// [`CompiledNetwork::simulate_with_scratch`](crate::CompiledNetwork::simulate_with_scratch).
+/// With a caller-owned `scratch` the round buffers stay warm for the next
+/// run (the records move into the returned [`SimRun`]); without one they
+/// are freed before the behaviors run, so a one-shot run holds no round
+/// table it no longer needs.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_seq_into(
+pub(crate) fn run(
     net: &Fppn,
     bank: &BehaviorBank,
     stimuli: &Stimuli,
     derived: &DerivedTaskGraph,
     tables: &StaticTables,
     config: &SimConfig,
-    scratch: &mut RoundScratch,
+    scratch: Option<&mut RoundScratch>,
     cancel: Option<&CancelToken>,
 ) -> Result<SimRun, SimError> {
     let mut engine = RoundEngine::new(net, stimuli, derived, tables, config)?;
     if let Some(token) = cancel {
         engine.set_cancel(token);
     }
-    engine.compute_rounds_seq_into(scratch)?;
-    let records = std::mem::take(&mut scratch.records);
-    engine.finalize(net, bank, stimuli, records, 0)
+    let records = match scratch {
+        Some(scratch) => {
+            engine.compute_rounds_seq_into(scratch)?;
+            std::mem::take(&mut scratch.records)
+        }
+        None => {
+            let mut scratch = RoundScratch::new();
+            engine.compute_rounds_seq_into(&mut scratch)?;
+            scratch.records
+        }
+    };
+    engine.finalize(net, bank, stimuli, records, config.behavior_workers)
 }
 
 #[cfg(test)]
@@ -1778,31 +1529,48 @@ mod tests {
 
     #[test]
     fn workers_field_resolution() {
-        let explicit = SimConfig {
-            workers: 3,
+        // The default is the sequential store; any thread budget routes to
+        // the sharded data plane and must change nothing observable.
+        assert_eq!(SimConfig::default().behavior_workers, 0);
+        let (net, bank) = chain_app();
+        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
+        let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
+        let base = SimConfig {
+            frames: 3,
             ..SimConfig::default()
         };
-        assert_eq!(explicit.resolved_workers(), 3);
-        // workers == 0 resolves via the environment; in the test harness the
-        // variable is either unset/empty (→ 1) or a valid positive override
-        // (→ itself; invalid values now panic with the variable's name).
-        let auto = SimConfig::default();
-        let resolved = auto.resolved_workers();
-        match std::env::var("FPPN_SIM_WORKERS").ok().filter(|v| !v.is_empty()) {
-            Some(v) => assert_eq!(resolved, v.parse::<usize>().unwrap()),
-            None => assert_eq!(resolved, 1),
+        let seq = simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &base).unwrap();
+        for behavior_workers in [1usize, 3] {
+            let sharded = simulate(
+                &net,
+                &bank,
+                &Stimuli::new(),
+                &derived,
+                &schedule,
+                &SimConfig {
+                    behavior_workers,
+                    ..base
+                },
+            )
+            .unwrap();
+            assert_eq!(seq.records, sharded.records, "{behavior_workers} workers");
+            assert_eq!(seq.observables, sharded.observables, "{behavior_workers} workers");
+            assert_eq!(seq.gantt, sharded.gantt, "{behavior_workers} workers");
         }
     }
 
     #[test]
-    fn from_env_agrees_with_resolved_accessors() {
-        let cfg = SimConfig::from_env().expect("harness env vars are valid");
-        assert_eq!(cfg.workers.max(1), SimConfig::default().resolved_workers());
-        assert_eq!(
-            cfg.parallel_behaviors,
-            SimConfig::default().resolved_parallel_behaviors()
-        );
-        assert_eq!(cfg.pipeline, SimConfig::default().resolved_pipeline());
-        assert_eq!(cfg.frames, 1, "from_env starts from the defaults");
+    fn invalid_exec_time_model_is_a_typed_error() {
+        let (net, bank) = chain_app();
+        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
+        let schedule = list_schedule(&derived.graph, 1, Heuristic::AlapEdf);
+        let config = SimConfig {
+            exec_time: ExecTimeModel::Scaled { num: 1, den: 0 },
+            ..SimConfig::default()
+        };
+        match simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &config) {
+            Err(SimError::InvalidConfig(msg)) => assert!(msg.contains("den > 0"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|r| r.stats)),
+        }
     }
 }

@@ -1,30 +1,30 @@
-//! Differential test-suite: the parallel and pipelined backends against
-//! the sequential oracle (the same pattern that proves the event-driven
+//! Differential test-suite: every execution configuration against the
+//! sequential oracle (the same pattern that proves the event-driven
 //! scheduler against `list_schedule_naive`).
 //!
-//! Bit-identity is asserted on every component of a [`SimRun`]: the
-//! per-round [`fppn_sim::JobRecord`]s (exact rational times, processors,
-//! ranks), the Gantt segments, the statistics, and the observables —
-//! across random workloads, sporadic densities, overhead models,
-//! exec-time models and worker counts. Every parallel run is exercised
-//! three ways: with behaviors replayed sequentially, with the **sharded
-//! data plane** behind the barrier (`parallel_behaviors`), and with the
-//! **streaming pipeline** (`pipeline`), which overlaps behavior execution
-//! with round computation — all of which must be bit-identical.
+//! The oracle is [`simulate`] with the default config: one round engine,
+//! the sequential behavior store, frame memo off. Every other setting —
+//! the sharded data plane at 1, 2, 4 and 8 threads
+//! (`SimConfig::behavior_workers`) and the frame memo (`SimConfig::memo`),
+//! crossed — must be bit-identical to it on every component of a
+//! [`SimRun`]: the per-round [`fppn_sim::JobRecord`]s (exact rational
+//! times, processors, ranks), the Gantt segments, the statistics and the
+//! observables — across random workloads, sporadic densities, overhead
+//! models, exec-time models and processor counts.
 
 use fppn_apps::{
     adversarial_presets, fms_network, fms_wcet, random_workload, synthetic_fppn, FmsVariant,
     SyntheticFppnConfig, SyntheticGraphConfig, WorkloadConfig,
 };
-use fppn_core::Stimuli;
-use fppn_sched::{list_schedule, Heuristic};
+use fppn_core::{BehaviorBank, Fppn, Stimuli};
+use fppn_sched::{list_schedule, Heuristic, StaticSchedule};
 use fppn_sim::hotpath::SeqRounds;
 use fppn_sim::{
-    adversarial_stimuli, clip_stimuli, compile_key, random_stimuli, simulate, simulate_parallel,
-    simulate_pipelined, simulate_seq, AdversarialClass, CompileConfig, CompiledNetwork,
-    ExecTimeModel, OverheadModel, RunScratch, SimConfig, SimRun, StaticTables,
+    adversarial_stimuli, clip_stimuli, compile_key, random_stimuli, simulate, AdversarialClass,
+    CancelToken, CompileConfig, CompiledNetwork, ExecTimeModel, OverheadModel, RunScratch,
+    SimConfig, SimRun, StaticTables,
 };
-use fppn_taskgraph::derive_task_graph;
+use fppn_taskgraph::{derive_task_graph, DerivedTaskGraph};
 use fppn_time::TimeQ;
 use proptest::prelude::*;
 
@@ -40,9 +40,65 @@ fn assert_bit_identical(seq: &SimRun, par: &SimRun, label: &str) {
     assert_eq!(seq.stats, par.stats, "{label}: stats diverged");
 }
 
-/// One workload, every axis: processors × heuristics × exec-time models ×
-/// overheads × worker counts, over several frames with random stimuli.
-fn check_workload(cfg: &WorkloadConfig, density: u32, frames: u64, workers: &[usize]) {
+/// The data-plane thread budgets the suite sweeps: `0` is the sequential
+/// store, the rest the sharded plane.
+const BEHAVIOR_WORKERS: [usize; 5] = [0, 1, 2, 4, 8];
+
+/// `base` with the oracle's execution settings: sequential store, memo off.
+fn oracle_config(base: SimConfig) -> SimConfig {
+    SimConfig {
+        behavior_workers: 0,
+        memo: false,
+        ..base
+    }
+}
+
+/// Every non-oracle execution setting over `base`'s semantic fields:
+/// [`BEHAVIOR_WORKERS`] × memo {off, on}, minus the oracle itself.
+fn sweep_configs(base: SimConfig) -> impl Iterator<Item = SimConfig> {
+    BEHAVIOR_WORKERS
+        .into_iter()
+        .flat_map(move |behavior_workers| {
+            [false, true].into_iter().map(move |memo| SimConfig {
+                behavior_workers,
+                memo,
+                ..base
+            })
+        })
+        .filter(|c| c.behavior_workers != 0 || c.memo)
+}
+
+/// Runs the oracle and every [`sweep_configs`] setting of one simulation
+/// and asserts each bit-identical to the oracle. Returns the oracle run.
+fn assert_sweep_matches_oracle(
+    net: &Fppn,
+    bank: &BehaviorBank,
+    stimuli: &Stimuli,
+    derived: &DerivedTaskGraph,
+    schedule: &StaticSchedule,
+    base: SimConfig,
+    label: &str,
+) -> SimRun {
+    let oracle = simulate(net, bank, stimuli, derived, schedule, &oracle_config(base))
+        .expect("sequential oracle");
+    for config in sweep_configs(base) {
+        let run = simulate(net, bank, stimuli, derived, schedule, &config)
+            .unwrap_or_else(|e| panic!("{label} {config:?}: {e}"));
+        assert_bit_identical(
+            &oracle,
+            &run,
+            &format!(
+                "{label} behavior_workers {} memo {}",
+                config.behavior_workers, config.memo
+            ),
+        );
+    }
+    oracle
+}
+
+/// One workload, every axis: processors × exec-time models × overheads ×
+/// execution settings, over several frames with random stimuli.
+fn check_workload(cfg: &WorkloadConfig, density: u32, frames: u64) {
     let w = random_workload(cfg);
     let derived = derive_task_graph(&w.net, &w.wcet).expect("derivable");
     let horizon = TimeQ::from_int(frames as i64) * derived.hyperperiod;
@@ -64,56 +120,18 @@ fn check_workload(cfg: &WorkloadConfig, density: u32, frames: u64, workers: &[us
                 exec_time: exec,
                 ..SimConfig::default()
             };
-            let seq = simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
-                .expect("sequential oracle");
-            for &workers in workers {
-                for parallel_behaviors in [false, true] {
-                    let par = simulate_parallel(
-                        &w.net,
-                        &w.bank,
-                        &stimuli,
-                        &derived,
-                        &schedule,
-                        &SimConfig {
-                            workers,
-                            parallel_behaviors,
-                            ..config
-                        },
-                    )
-                    .expect("parallel backend");
-                    assert_bit_identical(
-                        &seq,
-                        &par,
-                        &format!(
-                            "seed {} density {density} m {m} workers {workers} \
-                             sharded-behaviors {parallel_behaviors} {exec:?} {overhead:?}",
-                            cfg.seed
-                        ),
-                    );
-                }
-                let pipe = simulate_pipelined(
-                    &w.net,
-                    &w.bank,
-                    &stimuli,
-                    &derived,
-                    &schedule,
-                    &SimConfig {
-                        workers,
-                        pipeline: true,
-                        ..config
-                    },
-                )
-                .expect("pipelined backend");
-                assert_bit_identical(
-                    &seq,
-                    &pipe,
-                    &format!(
-                        "seed {} density {density} m {m} workers {workers} \
-                         pipeline {exec:?} {overhead:?}",
-                        cfg.seed
-                    ),
-                );
-            }
+            assert_sweep_matches_oracle(
+                &w.net,
+                &w.bank,
+                &stimuli,
+                &derived,
+                &schedule,
+                config,
+                &format!(
+                    "seed {} density {density} m {m} {exec:?} {overhead:?}",
+                    cfg.seed
+                ),
+            );
         }
     }
 }
@@ -127,7 +145,7 @@ fn parallel_matches_seq_on_pinned_workloads() {
             seed,
             ..WorkloadConfig::default()
         };
-        check_workload(&cfg, 500, 3, &[2, 4, 8]);
+        check_workload(&cfg, 500, 3);
     }
 }
 
@@ -142,15 +160,15 @@ fn parallel_matches_seq_at_extreme_densities() {
             seed: 7 + density as u64,
             ..WorkloadConfig::default()
         };
-        check_workload(&cfg, density, 2, &[2, 4]);
+        check_workload(&cfg, density, 2);
     }
 }
 
 /// The behavior-heavy synthetic FPPN — where the data plane dominates —
-/// across worker counts and shapes, sharded behaviors on. The third shape
-/// turns on the stimulus knobs (sporadic configurators + external input
-/// streams), so the server-slot machinery (windows, false slots, input
-/// consumption) runs under every backend too.
+/// across thread budgets and shapes. The third shape turns on the stimulus
+/// knobs (sporadic configurators + external input streams), so the
+/// server-slot machinery (windows, false slots, input consumption) runs
+/// under every setting too.
 #[test]
 fn sharded_behaviors_match_seq_on_behavior_heavy_workloads() {
     for (label, fppn_cfg) in [
@@ -210,52 +228,25 @@ fn sharded_behaviors_match_seq_on_behavior_heavy_workloads() {
         };
         for m in [1usize, 2, 4] {
             let schedule = list_schedule(&derived.graph, m, Heuristic::AlapEdf);
-            let seq = simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
-                .expect("sequential oracle");
-            for workers in [1usize, 2, 4, 8] {
-                let par = simulate_parallel(
-                    &w.net,
-                    &w.bank,
-                    &stimuli,
-                    &derived,
-                    &schedule,
-                    &SimConfig {
-                        workers,
-                        parallel_behaviors: true,
-                        ..config
-                    },
-                )
-                .expect("sharded backend");
-                assert_bit_identical(&seq, &par, &format!("{label} m {m} workers {workers}"));
-                let pipe = simulate_pipelined(
-                    &w.net,
-                    &w.bank,
-                    &stimuli,
-                    &derived,
-                    &schedule,
-                    &SimConfig {
-                        workers,
-                        pipeline: true,
-                        ..config
-                    },
-                )
-                .expect("pipelined backend");
-                assert_bit_identical(
-                    &seq,
-                    &pipe,
-                    &format!("{label} m {m} workers {workers} pipeline"),
-                );
-            }
+            assert_sweep_matches_oracle(
+                &w.net,
+                &w.bank,
+                &stimuli,
+                &derived,
+                &schedule,
+                config,
+                &format!("{label} m {m}"),
+            );
         }
     }
 }
 
 /// Every adversarial stimulus class (boundary-aligned bursts,
 /// maximal-density floods, arrival-tie storms, late/extreme inputs)
-/// against every backend, *with a runtime-overhead model active* — the
-/// axis the property campaign (`tests/properties.rs`) leaves to this
+/// under every execution setting, *with a runtime-overhead model active* —
+/// the axis the property campaign (`tests/properties.rs`) leaves to this
 /// suite. Window-edge arrivals under overhead-shifted completions are
-/// exactly where a subset-mapping or frontier bug would surface.
+/// exactly where a subset-mapping or visibility bug would surface.
 #[test]
 fn backends_agree_on_adversarial_stimuli_with_overheads() {
     for (label, fppn_cfg) in adversarial_presets() {
@@ -277,48 +268,23 @@ fn backends_agree_on_adversarial_stimuli_with_overheads() {
                     exec_time: exec,
                     ..SimConfig::default()
                 };
-                let tag = format!("{label} {} {exec:?} {overhead:?}", class.name());
-                let seq = simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
-                    .expect("sequential oracle");
-                for parallel_behaviors in [false, true] {
-                    let par = simulate_parallel(
-                        &w.net,
-                        &w.bank,
-                        &stimuli,
-                        &derived,
-                        &schedule,
-                        &SimConfig {
-                            workers: 4,
-                            parallel_behaviors,
-                            ..config
-                        },
-                    )
-                    .expect("parallel backend");
-                    assert_bit_identical(&seq, &par, &format!("{tag} sharded {parallel_behaviors}"));
-                }
-                let pipe = simulate_pipelined(
+                assert_sweep_matches_oracle(
                     &w.net,
                     &w.bank,
                     &stimuli,
                     &derived,
                     &schedule,
-                    &SimConfig {
-                        workers: 4,
-                        pipeline: true,
-                        ..config
-                    },
-                )
-                .expect("pipelined backend");
-                assert_bit_identical(&seq, &pipe, &format!("{tag} pipeline"));
+                    config,
+                    &format!("{label} {} {exec:?} {overhead:?}", class.name()),
+                );
             }
         }
     }
 }
 
-/// Bounded-capacity cross-process FIFOs cannot shard; both the barrier
-/// backend and the streaming pipeline must fall back to sequential
-/// behavior execution (the pipeline keeps the round/behavior *overlap*,
-/// only the behaviors serialize), not panic or diverge.
+/// Bounded-capacity cross-process FIFOs cannot shard: every thread budget
+/// must fall back to the sequential store (and the memo must disengage),
+/// not panic or diverge.
 #[test]
 fn sharded_behaviors_fall_back_on_bounded_fifos() {
     use fppn_core::{ChannelKind, ChannelSpec, EventSpec, FppnBuilder, JobCtx, ProcessSpec, Value};
@@ -358,57 +324,27 @@ fn sharded_behaviors_fall_back_on_bounded_fifos() {
         frames: 4,
         ..SimConfig::default()
     };
-    let seq = simulate_seq(&net, &bank, &Stimuli::new(), &derived, &schedule, &config).unwrap();
-    let par = simulate_parallel(
+    assert_sweep_matches_oracle(
         &net,
         &bank,
         &Stimuli::new(),
         &derived,
         &schedule,
-        &SimConfig {
-            workers: 4,
-            parallel_behaviors: true,
-            ..config
-        },
-    )
-    .unwrap();
-    assert_bit_identical(&seq, &par, "bounded-fifo fallback (barrier)");
-    for workers in [1usize, 2, 4] {
-        let pipe = simulate_pipelined(
-            &net,
-            &bank,
-            &Stimuli::new(),
-            &derived,
-            &schedule,
-            &SimConfig {
-                workers,
-                pipeline: true,
-                ..config
-            },
-        )
-        .unwrap();
-        assert_bit_identical(
-            &seq,
-            &pipe,
-            &format!("bounded-fifo fallback (pipelined, {workers} workers)"),
-        );
-    }
+        config,
+        "bounded-fifo fallback",
+    );
 }
 
-/// Forces the pipeline's frontier watermark to *stall*: one upstream
-/// writer has an enormous WCET, so its processor's completion frontier
-/// lags every other timeline by orders of magnitude. Records piling up on
-/// the fast processors must stay uncommitted (their completions are above
-/// the watermark) until the slow writer publishes — and the final run must
-/// still be bit-identical to the oracle.
+/// A late upstream writer: one process with an enormous WCET feeds every
+/// consumer, and the consumers tick 8x faster, so on the sharded plane
+/// their jobs queue behind the writer's progress gate (the canonical order
+/// puts most consumer jobs after the writer's late completion). The gates
+/// must hold those jobs back without diverging from the oracle.
 #[test]
-fn pipeline_stalls_on_late_upstream_writer_without_diverging() {
+fn sharded_plane_waits_on_late_upstream_writer_without_diverging() {
     use fppn_core::{ChannelKind, EventSpec, FppnBuilder, JobCtx, PortId, ProcessSpec, Value};
     let ms = TimeQ::from_ms;
     let mut b = FppnBuilder::new();
-    // `slow` feeds every consumer; consumers tick 8x faster, so dozens of
-    // their rounds complete (and queue in the sequencer) while slow[1] is
-    // still executing.
     let slow = b.process(ProcessSpec::new("slow", EventSpec::periodic(ms(800))));
     let fast: Vec<_> = (0..3)
         .map(|i| {
@@ -439,44 +375,32 @@ fn pipeline_stalls_on_late_upstream_writer_without_diverging() {
         })
     });
     let (net, bank) = b.build().unwrap();
-    // slow's WCET fills most of the hyperperiod: its round completes after
-    // every fast round of the frame has already been *computed*.
+    // slow's WCET fills most of the hyperperiod.
     let mut wcet = fppn_taskgraph::WcetModel::uniform(ms(5));
     wcet.set(net.process_by_name("slow").unwrap(), ms(700));
     let derived = derive_task_graph(&net, &wcet).unwrap();
-    // 4 processors: slow owns one timeline outright, the fast processes
-    // race ahead on the others.
     let schedule = list_schedule(&derived.graph, 4, Heuristic::AlapEdf);
     let config = SimConfig {
         frames: 5,
         ..SimConfig::default()
     };
-    let seq = simulate_seq(&net, &bank, &Stimuli::new(), &derived, &schedule, &config).unwrap();
-    for workers in [2usize, 4] {
-        let pipe = simulate_pipelined(
-            &net,
-            &bank,
-            &Stimuli::new(),
-            &derived,
-            &schedule,
-            &SimConfig {
-                workers,
-                pipeline: true,
-                ..config
-            },
-        )
-        .unwrap();
-        assert_bit_identical(&seq, &pipe, &format!("late-writer stall, {workers} workers"));
-    }
+    assert_sweep_matches_oracle(
+        &net,
+        &bank,
+        &Stimuli::new(),
+        &derived,
+        &schedule,
+        config,
+        "late-writer",
+    );
 }
 
 #[test]
 fn dispatcher_routes_on_config_workers() {
-    // `simulate` with workers pinned in the config must route identically
-    // to the explicit backend entry points. (The env-var resolution path,
-    // workers == 0 + FPPN_SIM_WORKERS, is covered by the dedicated CI job
-    // that re-runs the whole suite with the variable set — mutating the
-    // process environment from a threaded test harness would race.)
+    // The compiled artifact's three entry points (plain, reused scratch,
+    // armed-but-untripped cancel token) must route every
+    // `behavior_workers` setting to the same result as the one-shot
+    // `simulate` oracle.
     let cfg = WorkloadConfig {
         periodic: 5,
         sporadic: 1,
@@ -489,53 +413,48 @@ fn dispatcher_routes_on_config_workers() {
     let horizon = TimeQ::from_int(frames as i64) * derived.hyperperiod;
     let stimuli = random_stimuli(&w.net, horizon, 600, 99);
     let stimuli = clip_stimuli(&w.net, &derived, &stimuli, frames);
-    let schedule = list_schedule(&derived.graph, 3, Heuristic::BLevel);
+    let compile = CompileConfig {
+        heuristic: Heuristic::BLevel,
+        ..CompileConfig::new(w.wcet.clone(), 3)
+    };
+    let artifact = CompiledNetwork::compile(w.net.clone(), &compile).expect("compiles");
     let base = SimConfig {
         frames,
         ..SimConfig::default()
     };
-    let seq = simulate(
+    let oracle = simulate(
         &w.net,
         &w.bank,
         &stimuli,
-        &derived,
-        &schedule,
-        &SimConfig { workers: 1, ..base },
+        artifact.derived(),
+        artifact.schedule(),
+        &base,
     )
-    .expect("seq via dispatcher");
-    let par = simulate(
-        &w.net,
-        &w.bank,
-        &stimuli,
-        &derived,
-        &schedule,
-        &SimConfig { workers: 4, ..base },
-    )
-    .expect("par via dispatcher");
-    assert_bit_identical(&seq, &par, "dispatcher");
-    let pipe = simulate(
-        &w.net,
-        &w.bank,
-        &stimuli,
-        &derived,
-        &schedule,
-        &SimConfig {
-            workers: 4,
-            pipeline: true,
-            ..base
-        },
-    )
-    .expect("pipeline via dispatcher");
-    assert_bit_identical(&seq, &pipe, "dispatcher (pipeline)");
+    .expect("oracle via simulate");
+    let mut scratch = RunScratch::new();
+    let token = CancelToken::new();
+    for config in sweep_configs(base) {
+        let tag = format!("behavior_workers {} memo {}", config.behavior_workers, config.memo);
+        let plain = artifact.simulate(&w.bank, &stimuli, &config).expect("simulate");
+        assert_bit_identical(&oracle, &plain, &format!("{tag} simulate"));
+        let scratched = artifact
+            .simulate_with_scratch(&w.bank, &stimuli, &config, &mut scratch)
+            .expect("simulate_with_scratch");
+        assert_bit_identical(&oracle, &scratched, &format!("{tag} scratch"));
+        let armed = artifact
+            .simulate_cancellable(&w.bank, &stimuli, &config, &mut scratch, &token)
+            .expect("simulate_cancellable");
+        assert_bit_identical(&oracle, &armed, &format!("{tag} cancellable"));
+    }
 }
 
-/// The compile-once artifact against fresh per-call compiles, across all
-/// four backends and every adversarial stimulus class: a cached
+/// The compile-once artifact against fresh per-call compiles, under every
+/// execution setting and every adversarial stimulus class: a cached
 /// [`CompiledNetwork`] reused for many runs (with a reused [`RunScratch`])
-/// must be bit-identical to the classic entry points, which re-derive and
-/// re-schedule on every call. This is the cache-identity half of the serve
-/// control plane's correctness argument; CI re-runs it under
-/// `FPPN_SIM_WORKERS=4` (the test-name filter is `compiled`).
+/// must be bit-identical to [`simulate`], which re-derives the round
+/// tables on every call. This is the cache-identity half of the serve
+/// control plane's correctness argument (CI's test-name filter is
+/// `compile`).
 #[test]
 fn compiled_artifact_matches_fresh_compile_across_backends() {
     for (label, fppn_cfg) in adversarial_presets() {
@@ -567,40 +486,25 @@ fn compiled_artifact_matches_fresh_compile_across_backends() {
                 ..SimConfig::default()
             };
             let tag = format!("{label} {}", class.name());
-            // Fresh compile path: the classic entry point.
-            let fresh = simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
+            // Fresh compile path: the one-shot entry point.
+            let fresh = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
                 .expect("fresh sequential");
-            // Cache-hit path, all four backends against the one artifact.
-            for (backend, run_cfg) in [
-                ("seq", config),
-                ("parallel", SimConfig { workers: 4, ..config }),
-                (
-                    "sharded",
-                    SimConfig {
-                        workers: 4,
-                        parallel_behaviors: true,
-                        ..config
-                    },
-                ),
-                (
-                    "pipelined",
-                    SimConfig {
-                        workers: 4,
-                        pipeline: true,
-                        ..config
-                    },
-                ),
-            ] {
+            // Cache-hit path, every setting against the one artifact.
+            for run_cfg in std::iter::once(config).chain(sweep_configs(config)) {
+                let setting = format!(
+                    "behavior_workers {} memo {}",
+                    run_cfg.behavior_workers, run_cfg.memo
+                );
                 let cached = artifact
                     .simulate(&w.bank, &stimuli, &run_cfg)
                     .expect("cached artifact run");
-                assert_bit_identical(&fresh, &cached, &format!("{tag} cached {backend}"));
+                assert_bit_identical(&fresh, &cached, &format!("{tag} cached {setting}"));
+                // The serve worker path: scratch reused across runs & classes.
+                let scratched = artifact
+                    .simulate_with_scratch(&w.bank, &stimuli, &run_cfg, &mut scratch)
+                    .expect("scratch run");
+                assert_bit_identical(&fresh, &scratched, &format!("{tag} scratch {setting}"));
             }
-            // The serve worker path: scratch reused across runs & classes.
-            let scratched = artifact
-                .simulate_with_scratch(&w.bank, &stimuli, &config, &mut scratch)
-                .expect("scratch run");
-            assert_bit_identical(&fresh, &scratched, &format!("{tag} cached seq+scratch"));
         }
     }
 }
@@ -684,9 +588,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Seed-pinned differential property: random workload shapes, random
-    /// sporadic densities, random exec-time seeds, workers ∈ {2, 4, 8}.
+    /// sporadic densities, random exec-time seeds, every execution
+    /// setting against the oracle.
     #[test]
-    fn simulate_parallel_equals_simulate_seq(
+    fn sharded_plane_equals_sequential_store(
         periodic in 2usize..6,
         sporadic in 0usize..3,
         density in 0u32..=1000,
@@ -712,37 +617,13 @@ proptest! {
             exec_time: ExecTimeModel::typical_jitter(exec_seed),
             ..SimConfig::default()
         };
-        let seq = simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
-            .unwrap();
-        for workers in [2usize, 4, 8] {
-            for parallel_behaviors in [false, true] {
-                let par = simulate_parallel(
-                    &w.net,
-                    &w.bank,
-                    &stimuli,
-                    &derived,
-                    &schedule,
-                    &SimConfig { workers, parallel_behaviors, ..config },
-                )
-                .unwrap();
-                prop_assert_eq!(&seq.records, &par.records);
-                prop_assert_eq!(&seq.observables, &par.observables);
-                prop_assert_eq!(&seq.gantt, &par.gantt);
-                prop_assert_eq!(&seq.stats, &par.stats);
-            }
-            let pipe = simulate_pipelined(
-                &w.net,
-                &w.bank,
-                &stimuli,
-                &derived,
-                &schedule,
-                &SimConfig { workers, pipeline: true, ..config },
-            )
-            .unwrap();
-            prop_assert_eq!(&seq.records, &pipe.records);
-            prop_assert_eq!(&seq.observables, &pipe.observables);
-            prop_assert_eq!(&seq.gantt, &pipe.gantt);
-            prop_assert_eq!(&seq.stats, &pipe.stats);
+        let seq = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &config).unwrap();
+        for run_cfg in sweep_configs(config) {
+            let run = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &run_cfg).unwrap();
+            prop_assert_eq!(&seq.records, &run.records);
+            prop_assert_eq!(&seq.observables, &run.observables);
+            prop_assert_eq!(&seq.gantt, &run.gantt);
+            prop_assert_eq!(&seq.stats, &run.stats);
         }
     }
 
@@ -778,14 +659,14 @@ proptest! {
     }
 }
 
-/// Frame memoization differential sweep: with `memo: true`, every backend
-/// must stay bit-identical to the memo-off sequential oracle — across the
-/// adversarial stimulus classes (sporadic bursts, floods, tie storms,
-/// external inputs), frame counts spanning no-reuse (1) through heavy
-/// reuse (32), and both the memoizing exec model (`Wcet`) and a
-/// stochastic one that must fall back to the live loop. Only the
-/// sequential round path consults the memo; the parallel and pipelined
-/// backends must ignore the flag without diverging.
+/// Frame memoization differential sweep: with `memo: true`, both data
+/// planes must stay bit-identical to the memo-off sequential oracle —
+/// across the adversarial stimulus classes (sporadic bursts, floods, tie
+/// storms, external inputs), frame counts spanning no-reuse (1) through
+/// heavy reuse (32), and both the memoizing exec model (`Wcet`) and a
+/// stochastic one that must fall back to the live loop. The one round
+/// loop feeds every data plane, so the memo is consulted whatever
+/// `behavior_workers` says.
 #[test]
 fn memo_on_is_bit_identical_to_memo_off_across_backends() {
     for (label, fppn_cfg) in adversarial_presets() {
@@ -811,55 +692,22 @@ fn memo_on_is_bit_identical_to_memo_off_across_backends() {
                         ..SimConfig::default()
                     };
                     let tag = format!("{label} {} f{frames} {exec:?}", class.name());
-                    let oracle =
-                        simulate_seq(&w.net, &w.bank, &stimuli, &derived, &schedule, &base)
-                            .expect("memo-off oracle");
-                    let seq = simulate_seq(
-                        &w.net,
-                        &w.bank,
-                        &stimuli,
-                        &derived,
-                        &schedule,
-                        &SimConfig { memo: true, ..base },
-                    )
-                    .expect("memo-on sequential");
-                    assert_bit_identical(&oracle, &seq, &format!("{tag} seq"));
-                    for parallel_behaviors in [false, true] {
-                        let par = simulate_parallel(
-                            &w.net,
-                            &w.bank,
-                            &stimuli,
-                            &derived,
-                            &schedule,
-                            &SimConfig {
-                                workers: 4,
-                                parallel_behaviors,
-                                memo: true,
-                                ..base
-                            },
-                        )
-                        .expect("memo-on parallel");
-                        assert_bit_identical(
-                            &oracle,
-                            &par,
-                            &format!("{tag} sharded {parallel_behaviors}"),
-                        );
-                    }
-                    let pipe = simulate_pipelined(
-                        &w.net,
-                        &w.bank,
-                        &stimuli,
-                        &derived,
-                        &schedule,
-                        &SimConfig {
-                            workers: 4,
-                            pipeline: true,
+                    let oracle = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &base)
+                        .expect("memo-off oracle");
+                    for behavior_workers in [0usize, 4] {
+                        let on = SimConfig {
+                            behavior_workers,
                             memo: true,
                             ..base
-                        },
-                    )
-                    .expect("memo-on pipelined");
-                    assert_bit_identical(&oracle, &pipe, &format!("{tag} pipeline"));
+                        };
+                        let run = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &on)
+                            .expect("memo-on run");
+                        assert_bit_identical(
+                            &oracle,
+                            &run,
+                            &format!("{tag} behavior_workers {behavior_workers}"),
+                        );
+                    }
                 }
             }
         }
@@ -894,7 +742,7 @@ fn memo_replays_settled_periodic_frames_as_hits() {
     );
 
     let frames = 8u64;
-    let off = simulate_seq(
+    let off = simulate(
         &net,
         &bank,
         &stimuli,
@@ -906,7 +754,7 @@ fn memo_replays_settled_periodic_frames_as_hits() {
         },
     )
     .expect("memo-off oracle");
-    let on = simulate_seq(
+    let on = simulate(
         &net,
         &bank,
         &stimuli,
@@ -963,7 +811,7 @@ fn memo_disengages_on_bounded_fifos_and_stochastic_exec() {
         "bounded FIFOs must disable the memo entirely"
     );
 
-    let off = simulate_seq(
+    let off = simulate(
         &net,
         &bank,
         &Stimuli::new(),
@@ -975,7 +823,7 @@ fn memo_disengages_on_bounded_fifos_and_stochastic_exec() {
         },
     )
     .expect("memo-off oracle");
-    let on = simulate_seq(&net, &bank, &Stimuli::new(), &derived, &schedule, &config)
+    let on = simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &config)
         .expect("memo-on run");
     assert_bit_identical(&off, &on, "bounded-fifo memo fallback");
 
@@ -1004,7 +852,7 @@ fn memo_disengages_on_bounded_fifos_and_stochastic_exec() {
         (0, 0),
         "stochastic exec models must disable the memo entirely"
     );
-    let off = simulate_seq(
+    let off = simulate(
         &w.net,
         &w.bank,
         &Stimuli::new(),
@@ -1016,7 +864,7 @@ fn memo_disengages_on_bounded_fifos_and_stochastic_exec() {
         },
     )
     .expect("memo-off oracle");
-    let on = simulate_seq(&w.net, &w.bank, &Stimuli::new(), &derived, &schedule, &jitter)
+    let on = simulate(&w.net, &w.bank, &Stimuli::new(), &derived, &schedule, &jitter)
         .expect("memo-on run");
     assert_bit_identical(&off, &on, "stochastic memo fallback");
 }

@@ -1,7 +1,7 @@
 //! The semantic property campaign: predictability, sustainability and
 //! robustness (Prop. 4.1) under adversarial stimuli.
 //!
-//! The differential suite proves the four backends *internally*
+//! The differential suite proves every execution setting *internally*
 //! consistent; this suite checks the properties a deterministic
 //! multiprocessor execution model must satisfy *semantically*:
 //!
@@ -17,9 +17,10 @@
 //!    flood) must never increase the response time of a job present in
 //!    both runs, nor introduce a deadline miss on such a job.
 //! 3. **Robustness (Prop. 4.1)**: the observable traces are invariant
-//!    across all four backends (seq / parallel / sharded / pipeline)
-//!    under every adversarial stimulus class, and invariant under the
-//!    execution-time variation of the shrink chain.
+//!    across the execution settings (sequential store or sharded data
+//!    plane, frame memo off or on) under every adversarial stimulus
+//!    class, and invariant under the execution-time variation of the
+//!    shrink chain.
 //!
 //! All stimuli come from `stimgen::adversarial` — seed-pinned SplitMix64
 //! streams aimed at window boundaries, maximal densities, cross-process
@@ -32,8 +33,7 @@ use fppn_apps::{adversarial_presets, random_workload, synthetic_fppn, Workload, 
 use fppn_sched::{list_schedule, Heuristic};
 use fppn_sim::{
     adversarial_stimuli, clip_stimuli, completion_table, max_density_flood_trace, missed_jobs,
-    response_table, simulate_parallel, simulate_pipelined, simulate_seq, AdversarialClass,
-    ExecTimeModel, SimConfig, SimRun,
+    response_table, simulate, AdversarialClass, ExecTimeModel, SimConfig, SimRun,
 };
 use fppn_taskgraph::{derive_task_graph, DerivedTaskGraph, JobId};
 use fppn_time::TimeQ;
@@ -100,7 +100,7 @@ fn prepare(w: Workload, frames: u64) -> Prepared {
 
 fn run_seq(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, exec: ExecTimeModel) -> SimRun {
     let schedule = list_schedule(&p.derived.graph, m, Heuristic::AlapEdf);
-    simulate_seq(
+    simulate(
         &p.w.net,
         &p.w.bank,
         stimuli,
@@ -251,8 +251,9 @@ fn assert_sustainable(p: &Prepared, m: usize, exec: ExecTimeModel, label: &str) 
     }
 }
 
-/// Property 3: all four backends produce bit-identical runs under an
-/// adversarial stimulus.
+/// Property 3: every execution setting — `behavior_workers` ∈ {0, 4} ×
+/// memo {off, on} — produces a run bit-identical to the sequential oracle
+/// under an adversarial stimulus.
 fn assert_backends_agree(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, exec: ExecTimeModel, label: &str) {
     let schedule = list_schedule(&p.derived.graph, m, Heuristic::AlapEdf);
     let config = SimConfig {
@@ -260,64 +261,30 @@ fn assert_backends_agree(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, e
         exec_time: exec,
         ..SimConfig::default()
     };
-    let seq = simulate_seq(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
+    let seq = simulate(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
         .expect("sequential oracle");
-    for (backend, run) in [
-        (
-            "parallel",
-            simulate_parallel(
-                &p.w.net,
-                &p.w.bank,
-                stimuli,
-                &p.derived,
-                &schedule,
-                &SimConfig {
-                    workers: 4,
-                    ..config
-                },
-            )
-            .expect("parallel backend"),
-        ),
-        (
-            "sharded",
-            simulate_parallel(
-                &p.w.net,
-                &p.w.bank,
-                stimuli,
-                &p.derived,
-                &schedule,
-                &SimConfig {
-                    workers: 4,
-                    parallel_behaviors: true,
-                    ..config
-                },
-            )
-            .expect("sharded backend"),
-        ),
-        (
-            "pipeline",
-            simulate_pipelined(
-                &p.w.net,
-                &p.w.bank,
-                stimuli,
-                &p.derived,
-                &schedule,
-                &SimConfig {
-                    workers: 4,
-                    pipeline: true,
-                    ..config
-                },
-            )
-            .expect("pipelined backend"),
-        ),
-    ] {
-        assert_eq!(seq.records, run.records, "{label} [{backend}]: records diverged");
+    for (behavior_workers, memo) in [(0usize, true), (4, false), (4, true)] {
+        let run = simulate(
+            &p.w.net,
+            &p.w.bank,
+            stimuli,
+            &p.derived,
+            &schedule,
+            &SimConfig {
+                behavior_workers,
+                memo,
+                ..config
+            },
+        )
+        .expect("non-oracle setting");
+        let setting = format!("behavior_workers {behavior_workers} memo {memo}");
+        assert_eq!(seq.records, run.records, "{label} [{setting}]: records diverged");
         assert_eq!(
             seq.observables, run.observables,
-            "{label} [{backend}]: observables diverged"
+            "{label} [{setting}]: observables diverged"
         );
-        assert_eq!(seq.gantt, run.gantt, "{label} [{backend}]: gantt diverged");
-        assert_eq!(seq.stats, run.stats, "{label} [{backend}]: stats diverged");
+        assert_eq!(seq.gantt, run.gantt, "{label} [{setting}]: gantt diverged");
+        assert_eq!(seq.stats, run.stats, "{label} [{setting}]: stats diverged");
     }
 }
 
@@ -472,13 +439,17 @@ fn robustness_across_backends_on_adversarial_stimuli() {
             let raw = adversarial_stimuli(&p.w.net, &p.derived, p.horizon, class, 0x0B57);
             let stimuli = clip_stimuli(&p.w.net, &p.derived, &raw, p.frames);
             for m in [1usize, 3] {
-                assert_backends_agree(
-                    &p,
-                    &stimuli,
-                    m,
-                    ExecTimeModel::typical_jitter(0x0B57 ^ m as u64),
-                    &format!("{label}/{}/m{m}", class.name()),
-                );
+                // `Wcet` is the model the frame memo replays under; the
+                // jitter model exercises its fallback to the live loop.
+                for exec in [ExecTimeModel::Wcet, ExecTimeModel::typical_jitter(0x0B57 ^ m as u64)] {
+                    assert_backends_agree(
+                        &p,
+                        &stimuli,
+                        m,
+                        exec,
+                        &format!("{label}/{}/m{m}/{exec:?}", class.name()),
+                    );
+                }
             }
         }
     }
@@ -526,8 +497,8 @@ proptest! {
         }
     }
 
-    /// Robustness over random shapes: the four backends agree under every
-    /// adversarial class (seed-pinned by proptest's own RNG).
+    /// Robustness over random shapes: every execution setting agrees under
+    /// every adversarial class (seed-pinned by proptest's own RNG).
     #[test]
     fn backends_agree_for_random_shapes(
         periodic in 2usize..5,

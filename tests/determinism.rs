@@ -1,8 +1,9 @@
 //! The flagship determinism test (Prop. 2.1 / Prop. 4.1): for the paper's
 //! applications and random workloads, every execution backend — zero-delay
 //! reference (both FP linearizations), the discrete-event simulator (any
-//! processor count, any execution-time draw, with and without overhead)
-//! and the multi-threaded runtime — produces identical observable value
+//! processor count, any execution-time draw, with and without overhead,
+//! on either data plane, with and without the frame memo) and the
+//! multi-threaded runtime — produces identical observable value
 //! sequences for identical stimuli.
 
 use fppn::apps::{fft_network, fft_wcet, fig1_network, fig1_wcet, random_workload, WorkloadConfig};
@@ -53,25 +54,31 @@ fn assert_all_backends_agree(
                 (ExecTimeModel::typical_jitter(7), OverheadModel::NONE),
                 (ExecTimeModel::Wcet, OverheadModel::constant(TimeQ::from_ms(5))),
             ] {
-                let run = simulate(
-                    net,
-                    bank,
-                    &stimuli,
-                    &derived,
-                    &schedule,
-                    &SimConfig {
-                        frames,
-                        overhead,
-                        exec_time: exec,
-                        ..SimConfig::default()
-                    },
-                )
-                .expect("simulate");
-                assert_eq!(
-                    run.observables.diff(&reference),
-                    None,
-                    "{label}: sim diverged ({processors} procs, {heuristic}, {exec:?}, {overhead:?})"
-                );
+                // The default (sequential store, memo off) and everything
+                // on (sharded data plane, frame memo).
+                for (behavior_workers, memo) in [(0usize, false), (2, true)] {
+                    let run = simulate(
+                        net,
+                        bank,
+                        &stimuli,
+                        &derived,
+                        &schedule,
+                        &SimConfig {
+                            frames,
+                            overhead,
+                            exec_time: exec,
+                            behavior_workers,
+                            memo,
+                        },
+                    )
+                    .expect("simulate");
+                    assert_eq!(
+                        run.observables.diff(&reference),
+                        None,
+                        "{label}: sim diverged ({processors} procs, {heuristic}, {exec:?}, \
+                         {overhead:?}, behavior_workers {behavior_workers}, memo {memo})"
+                    );
+                }
             }
         }
     }

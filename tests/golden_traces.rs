@@ -3,7 +3,7 @@
 //! The observable sequences of the paper's two fully-specified
 //! applications (Fig. 1 example network, §V-A FFT) under the zero-delay
 //! reference semantics are pinned to checked-in snapshots
-//! (`tests/golden/*.txt`). The determinism suite proves all backends agree
+//! (`tests/golden/*.txt`). The determinism suite proves the simulator agrees
 //! with the zero-delay reference; this suite pins what the reference
 //! *itself* computes, so a refactor cannot silently change semantics while
 //! remaining self-consistent.
@@ -17,10 +17,7 @@ use std::fmt::Write as _;
 use fppn::apps::{fft_network, fft_wcet, fig1_network, fig1_wcet};
 use fppn::core::{run_zero_delay, Fppn, JobOrdering, Observables, SporadicTrace, Stimuli};
 use fppn::sched::{list_schedule, Heuristic};
-use fppn::sim::{
-    adversarial_stimuli, clip_stimuli, simulate_parallel, simulate_pipelined, simulate_seq,
-    AdversarialClass, SimConfig,
-};
+use fppn::sim::{adversarial_stimuli, clip_stimuli, simulate, AdversarialClass, SimConfig};
 use fppn::taskgraph::derive_task_graph;
 use fppn::time::TimeQ;
 
@@ -45,6 +42,16 @@ fn render(net: &Fppn, obs: &Observables) -> String {
         out.push('\n');
     }
     out
+}
+
+/// The execution settings every simulated golden trace must reproduce
+/// under: `behavior_workers` ∈ {0, 4} × frame memo {off, on}.
+fn settings(base: SimConfig) -> [SimConfig; 4] {
+    [(0, false), (0, true), (4, false), (4, true)].map(|(behavior_workers, memo)| SimConfig {
+        behavior_workers,
+        memo,
+        ..base
+    })
 }
 
 fn check(label: &str, net: &Fppn, obs: &Observables, expected: &str) {
@@ -77,10 +84,11 @@ fn fig1_zero_delay_trace_is_pinned() {
     check("fig1", &net, &run.observables, include_str!("golden/fig1.txt"));
 }
 
-/// The parallel simulation backend must reproduce the *pinned* traces —
-/// not merely agree with the reference of the same build — so a semantics
-/// drift in the parallel rounds cannot hide behind a matching drift in
-/// the zero-delay executor.
+/// The simulator must reproduce the *pinned* traces — not merely agree
+/// with the reference of the same build — under every execution setting,
+/// the sharded data plane included, so a semantics drift in the rounds or
+/// the data plane cannot hide behind a matching drift in the zero-delay
+/// executor.
 #[test]
 fn parallel_backend_reproduces_golden_traces() {
     // Fig. 1, same stimulus as the pinned reference, 4 frames.
@@ -95,48 +103,36 @@ fn parallel_backend_reproduces_golden_traces() {
         let frames = 4;
         let stimuli = clip_stimuli(&net, &derived, &stimuli, frames);
         let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
-        let run = simulate_parallel(
-            &net,
-            &bank,
-            &stimuli,
-            &derived,
-            &schedule,
-            &SimConfig {
-                frames,
-                workers: 4,
-                ..SimConfig::default()
-            },
-        )
-        .expect("fig1 parallel simulation");
-        check("fig1", &net, &run.observables, include_str!("golden/fig1.txt"));
+        for config in settings(SimConfig {
+            frames,
+            ..SimConfig::default()
+        }) {
+            let run = simulate(&net, &bank, &stimuli, &derived, &schedule, &config)
+                .expect("fig1 simulation");
+            check("fig1", &net, &run.observables, include_str!("golden/fig1.txt"));
+        }
     }
     // FFT pipeline, 3 frames.
     {
         let (net, bank, _) = fft_network();
         let derived = derive_task_graph(&net, &fft_wcet()).expect("derivable");
         let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
-        let run = simulate_parallel(
-            &net,
-            &bank,
-            &Stimuli::new(),
-            &derived,
-            &schedule,
-            &SimConfig {
-                frames: 3,
-                workers: 4,
-                ..SimConfig::default()
-            },
-        )
-        .expect("fft parallel simulation");
-        check("fft", &net, &run.observables, include_str!("golden/fft.txt"));
+        for config in settings(SimConfig {
+            frames: 3,
+            ..SimConfig::default()
+        }) {
+            let run = simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &config)
+                .expect("fft simulation");
+            check("fft", &net, &run.observables, include_str!("golden/fft.txt"));
+        }
     }
 }
 
 /// Adversarial-stimulus golden traces on the paper's Fig. 1 network: the
 /// observable sequences under a boundary-aligned burst, a maximal-density
 /// flood and an arrival-tie storm (seed-pinned) are snapshot-pinned, and
-/// every backend — sequential oracle, parallel, sharded data plane,
-/// streaming pipeline — must reproduce them exactly. This extends the
+/// every execution setting — sequential store or sharded data plane, frame
+/// memo off or on — must reproduce them exactly. This extends the
 /// uniform-stimulus snapshots above to the stimuli that actually sit on
 /// the server-window edge cases.
 #[test]
@@ -162,44 +158,15 @@ fn adversarial_traces_are_pinned_across_backends() {
         let stimuli = adversarial_stimuli(&net, &derived, horizon, class, 0x601D);
         let stimuli = clip_stimuli(&net, &derived, &stimuli, frames);
         let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
-        let config = SimConfig {
+        let label = format!("fig1_{}", class.name());
+        for config in settings(SimConfig {
             frames,
             ..SimConfig::default()
-        };
-        let label = format!("fig1_{}", class.name());
-        let seq = simulate_seq(&net, &bank, &stimuli, &derived, &schedule, &config)
-            .expect("sequential oracle");
-        check(&label, &net, &seq.observables, expected);
-        for parallel_behaviors in [false, true] {
-            let par = simulate_parallel(
-                &net,
-                &bank,
-                &stimuli,
-                &derived,
-                &schedule,
-                &SimConfig {
-                    workers: 4,
-                    parallel_behaviors,
-                    ..config
-                },
-            )
-            .expect("parallel backend");
-            check(&label, &net, &par.observables, expected);
+        }) {
+            let run = simulate(&net, &bank, &stimuli, &derived, &schedule, &config)
+                .expect("adversarial simulation");
+            check(&label, &net, &run.observables, expected);
         }
-        let pipe = simulate_pipelined(
-            &net,
-            &bank,
-            &stimuli,
-            &derived,
-            &schedule,
-            &SimConfig {
-                workers: 4,
-                pipeline: true,
-                ..config
-            },
-        )
-        .expect("pipelined backend");
-        check(&label, &net, &pipe.observables, expected);
     }
 }
 
