@@ -7,6 +7,7 @@ use fppn_apps::{
     SyntheticFppnConfig, SyntheticGraphConfig, WorkloadConfig,
 };
 use fppn_sched::{list_schedule, Heuristic};
+use fppn_sim::hotpath::simulate_oracle;
 use fppn_sim::{simulate, SimConfig};
 use fppn_taskgraph::derive_task_graph;
 
@@ -70,7 +71,8 @@ fn synthetic_graph_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-/// The round loop, plain and memoized, on the FMS policy table.
+/// The round loop on the FMS policy table: `seq` is the oracle seam's
+/// plain loop, `memo` the default run, which replays repeated frames.
 fn simulation_backend_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulation_backends");
     g.sample_size(10);
@@ -79,20 +81,26 @@ fn simulation_backend_sweep(c: &mut Criterion) {
     let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
     let stimuli = fppn_core::Stimuli::new();
     for frames in [2u64, 8] {
-        let seq = SimConfig {
+        let cfg = SimConfig {
             frames,
             ..SimConfig::default()
         };
-        for (label, cfg) in [("seq", seq), ("memo", SimConfig { memo: true, ..seq })] {
-            g.bench_with_input(BenchmarkId::new(label, frames), &cfg, |b, cfg| {
-                b.iter(|| {
-                    simulate(&net, &bank, &stimuli, &derived, &schedule, cfg)
-                        .unwrap()
-                        .records
-                        .len()
-                })
-            });
-        }
+        g.bench_with_input(BenchmarkId::new("seq", frames), &cfg, |b, cfg| {
+            b.iter(|| {
+                simulate_oracle(&net, &bank, &stimuli, &derived, &schedule, cfg)
+                    .unwrap()
+                    .records
+                    .len()
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("memo", frames), &cfg, |b, cfg| {
+            b.iter(|| {
+                simulate(&net, &bank, &stimuli, &derived, &schedule, cfg)
+                    .unwrap()
+                    .records
+                    .len()
+            })
+        });
     }
     g.finish();
 }

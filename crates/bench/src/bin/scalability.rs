@@ -41,6 +41,7 @@ use fppn_apps::{
 };
 use fppn_sched::{list_schedule, list_schedule_naive, Heuristic};
 use fppn_serve::{RunRequest, Server};
+use fppn_sim::hotpath::simulate_oracle;
 use fppn_sim::{
     clip_stimuli, simulate, tiled_sporadic_trace, CompileConfig, CompiledNetwork, SimConfig,
 };
@@ -94,12 +95,15 @@ struct BenchRecord {
     name: String,
     rounds: usize,
     workers: usize,
+    /// The reference wall-clock `bench_diff` scores every column against:
+    /// the oracle seam's free-interleave loop in the round-loop sweep, the
+    /// sequential store in the behavior sweep.
     seq: Duration,
     /// Wall-clock on the sharded data plane (`SimConfig::behavior_workers`);
     /// `None` where the sweep does not measure it.
     sharded: Option<Duration>,
-    /// Sequential wall-clock with the frame memo on (`SimConfig::memo`);
-    /// `None` where the sweep does not measure the memo path.
+    /// Wall-clock of the default run, frame memo included; `None` where
+    /// the sweep does not measure it against the oracle seam.
     memo: Option<Duration>,
     memo_hits: u64,
     memo_misses: u64,
@@ -258,9 +262,10 @@ fn fms_speedup_check() {
     );
 }
 
-/// Plain vs memoized round loop on multi-frame policy tables, with a
-/// bit-identity cross-check on every run (the memo is only interesting if
-/// its output is *exactly* the plain loop's).
+/// The oracle seam's plain round loop vs the default memoized one on
+/// multi-frame policy tables, with a bit-identity cross-check on every run
+/// (the memo is only interesting if its output is *exactly* the plain
+/// loop's).
 ///
 /// Where sporadic stimuli are driven, they are **hyperperiod-tiled**
 /// ([`tiled_sporadic_trace`]): every frame carries the same arrival
@@ -268,7 +273,10 @@ fn fms_speedup_check() {
 /// and the `memo_ms` column measures real replay (hits), not a
 /// sweep-specific fallback.
 fn simulation_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<BenchRecord>) {
-    println!("\nround loop (seq vs memoized seq, median of {reps}, bit-identity checked):");
+    println!(
+        "\nround loop (oracle seam vs default memoized run, median of {reps}, \
+         bit-identity checked):"
+    );
     let (net, bank, ids) = fms_network(FmsVariant::Original);
     let derived = derive_task_graph(&net, &fms_wcet(&ids)).expect("derivable");
     // Two frame tiers (the base count and 4x — at the default
@@ -308,14 +316,13 @@ fn simulation_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<
                 frames,
                 ..SimConfig::default()
             };
-            let memo_cfg = SimConfig { memo: true, ..cfg };
             let (seq, t_seq) = median_timed(reps, || {
-                simulate(&net, &bank, &stimuli, &derived, &schedule, &cfg)
-                    .expect("sequential simulation")
+                simulate_oracle(&net, &bank, &stimuli, &derived, &schedule, &cfg)
+                    .expect("oracle simulation")
             });
             let (memo_run, t_memo) = median_timed(reps, || {
-                simulate(&net, &bank, &stimuli, &derived, &schedule, &memo_cfg)
-                    .expect("memoized sequential simulation")
+                simulate(&net, &bank, &stimuli, &derived, &schedule, &cfg)
+                    .expect("default simulation")
             });
             assert_eq!(seq.records, memo_run.records, "memo records diverged");
             assert_eq!(
@@ -326,12 +333,12 @@ fn simulation_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<
             // (the full-run path keeps its scratch private).
             let tables = fppn_sim::StaticTables::build(&net, &derived, &schedule);
             let mut rounds =
-                fppn_sim::hotpath::SeqRounds::new(&net, &stimuli, &derived, &tables, &memo_cfg)
+                fppn_sim::hotpath::SeqRounds::new(&net, &stimuli, &derived, &tables, &cfg)
                     .expect("round tables");
             rounds.compute().expect("memo stats pass");
             let (memo_hits, memo_misses) = rounds.memo_stats();
             println!(
-                "{label:<22} frames={frames:>3} procs={m} | {:>6} rounds | seq {:>9.2?} | memo {:>9.2?} ({memo_hits}h/{memo_misses}m) | memo vs seq {:.2}x",
+                "{label:<22} frames={frames:>3} procs={m} | {:>6} rounds | oracle {:>9.2?} | memo {:>9.2?} ({memo_hits}h/{memo_misses}m) | memo vs oracle {:.2}x",
                 seq.records.len(),
                 t_seq,
                 t_memo,
@@ -357,6 +364,7 @@ fn simulation_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<
 /// the FMS-style workloads above, behaviors are a few integer folds and
 /// the data plane is noise; here it dominates. The sporadic entry turns on
 /// the stimulus knobs so the server-slot machinery is in the hot loop too.
+/// Both sides are default runs, so both include the frame memo.
 fn behavior_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<BenchRecord>) {
     println!(
         "\nbehavior-heavy data plane (seq vs sharded on {workers} threads, median of {reps}, \

@@ -26,6 +26,7 @@ use fppn_taskgraph::{
 use fppn_time::ContentHasher;
 
 use crate::cancel::CancelToken;
+use crate::exectime::ExecTimeModel;
 use crate::policy::{run, RoundScratch, SimConfig, SimError, SimRun};
 
 /// The stimuli-independent round tables shared by every run: CSR
@@ -172,6 +173,41 @@ pub fn compile_key(net: &Fppn, cfg: &CompileConfig) -> u64 {
         _ => unreachable!("unhashed heuristic variant"),
     });
     h.finish()
+}
+
+impl SimConfig {
+    /// Absorbs the *semantic* configuration — the fields that change what a
+    /// simulation computes — into a content hash: frame count, overhead
+    /// model, and execution-time model (tagged, with its parameters,
+    /// including the `Jitter` seed).
+    ///
+    /// `behavior_workers` is deliberately **excluded**: the sharded data
+    /// plane is bit-identical to the sequential store, so a result cached
+    /// under one setting is valid for all of them — that reuse is the point
+    /// of keying the serve-layer `RunCache` on this hash.
+    pub fn content_hash_into(&self, h: &mut ContentHasher) {
+        h.write_u64(self.frames);
+        h.write_time(self.overhead.first_frame);
+        h.write_time(self.overhead.steady_frame);
+        match self.exec_time {
+            ExecTimeModel::Wcet => h.write_u8(0),
+            ExecTimeModel::Scaled { num, den } => {
+                h.write_u8(1);
+                h.write_u32(num);
+                h.write_u32(den);
+            }
+            ExecTimeModel::Jitter {
+                lo_permille,
+                hi_permille,
+                seed,
+            } => {
+                h.write_u8(2);
+                h.write_u32(lo_permille);
+                h.write_u32(hi_permille);
+                h.write_u64(seed);
+            }
+        }
+    }
 }
 
 /// An immutable compile artifact: the validated network plus every

@@ -25,11 +25,15 @@
 //! yields [`Observables`] that must equal the zero-delay reference
 //! (Prop. 4.1 — asserted by the integration test-suite).
 //!
-//! One sequential round engine computes the rounds of every run. The
-//! configuration only chooses how the behaviors replay afterwards: through
-//! the sequential store, or sharded over [`SimConfig::behavior_workers`]
-//! threads (`crate::behavior`). Both consume the same canonical record
-//! order, so both yield the same [`SimRun`].
+//! One sequential round engine computes the rounds of every run, frame by
+//! frame. Under the [`ExecTimeModel::Wcet`] model a frame whose exact
+//! carry-in matches an earlier frame's is replayed from the frame memo,
+//! shifted by the whole hyperperiods between them, instead of recomputed
+//! (see `FrameMemo`). The configuration only chooses how the behaviors
+//! replay afterwards: through the sequential store, or sharded over
+//! [`SimConfig::behavior_workers`] threads (`crate::behavior`). Both
+//! consume the same canonical record order, so both yield the same
+//! [`SimRun`].
 
 use std::error::Error;
 use std::fmt;
@@ -40,7 +44,7 @@ use fppn_core::{
 };
 use fppn_taskgraph::{DerivedTaskGraph, JobId, TaskGraph};
 use fppn_sched::StaticSchedule;
-use fppn_time::{ContentHasher, TimeQ};
+use fppn_time::TimeQ;
 
 use crate::cancel::CancelToken;
 use crate::compile::StaticTables;
@@ -48,7 +52,9 @@ use crate::exectime::ExecTimeModel;
 use crate::gantt::{Gantt, Segment, SegmentKind};
 use crate::overhead::OverheadModel;
 
-/// Simulation parameters.
+/// Simulation parameters. The frame memo is not among them: every run
+/// replays repeated frames where it is sound (the `Wcet` model) and
+/// computes them live elsewhere, bit-identically either way.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
     /// Number of schedule frames (hyperperiods) to simulate.
@@ -67,56 +73,6 @@ pub struct SimConfig {
     /// setting is bit-identical (Prop. 4.1: observables do not depend on
     /// execution order).
     pub behavior_workers: usize,
-    /// Frame-resolution memoization: the round loop fingerprints each
-    /// frame's carry-in state (processor availability and
-    /// wrap-predecessor completions relative to the frame base, the frame's
-    /// slot resolutions and release gate) and **replays** the round table
-    /// of an earlier fingerprint-equal frame — shifted by the frame offset —
-    /// instead of re-running slot resolution. A purely periodic workload
-    /// collapses to "compute one frame, replay the rest". Replay only
-    /// engages under the deterministic [`ExecTimeModel::Wcet`] model on
-    /// networks without bounded-capacity FIFOs; everything else (sporadic
-    /// frames whose fingerprints differ, stochastic exec models, bounded
-    /// FIFOs) falls back to full computation. Output is bit-identical
-    /// either way (asserted by the differential suite), whatever
-    /// [`SimConfig::behavior_workers`] says.
-    pub memo: bool,
-}
-
-impl SimConfig {
-    /// Absorbs the *semantic* configuration — the fields that change what a
-    /// simulation computes — into a content hash: frame count, overhead
-    /// model, and execution-time model (tagged, with its parameters,
-    /// including the `Jitter` seed).
-    ///
-    /// `behavior_workers` and `memo` are deliberately **excluded**: the
-    /// sharded data plane is bit-identical to the sequential store (and the
-    /// memoized loop to the plain one), so a result cached under one
-    /// setting is valid for all of them — that reuse is the point of keying
-    /// the serve-layer `RunCache` on this fingerprint.
-    pub fn content_hash_into(&self, h: &mut ContentHasher) {
-        h.write_u64(self.frames);
-        h.write_time(self.overhead.first_frame);
-        h.write_time(self.overhead.steady_frame);
-        match self.exec_time {
-            ExecTimeModel::Wcet => h.write_u8(0),
-            ExecTimeModel::Scaled { num, den } => {
-                h.write_u8(1);
-                h.write_u32(num);
-                h.write_u32(den);
-            }
-            ExecTimeModel::Jitter {
-                lo_permille,
-                hi_permille,
-                seed,
-            } => {
-                h.write_u8(2);
-                h.write_u32(lo_permille);
-                h.write_u32(hi_permille);
-                h.write_u64(seed);
-            }
-        }
-    }
 }
 
 impl Default for SimConfig {
@@ -126,7 +82,6 @@ impl Default for SimConfig {
             overhead: OverheadModel::NONE,
             exec_time: ExecTimeModel::Wcet,
             behavior_workers: 0,
-            memo: false,
         }
     }
 }
@@ -200,7 +155,9 @@ pub enum SimError {
     /// The per-processor static orders deadlocked against the precedence
     /// constraints (the schedule was not produced by a correct scheduler).
     Stalled {
-        /// Rounds completed before the stall.
+        /// Rounds completed before the stall, frame-major: every round of
+        /// the frames before the stalled one, plus those of the stalled
+        /// frame that could complete.
         completed_rounds: usize,
     },
     /// The run's [`CancelToken`](crate::CancelToken) tripped (explicit
@@ -288,20 +245,19 @@ pub fn clip_stimuli(
     clipped
 }
 
-/// Reusable buffers for [`RoundEngine::compute_rounds_seq_into`]: the flat
+/// Reusable buffers for [`RoundEngine::compute_rounds_into`]: the flat
 /// completion table (`[frame * n_jobs + job]`), per-processor availability,
-/// the per-processor cursors and the output records. Owned by the caller
-/// so a steady-state loop recomputing rounds over the same engine shape
-/// reuses every buffer instead of reallocating per pass.
+/// the per-processor cursors, the output records and the frame memo. Owned
+/// by the caller so a steady-state loop recomputing rounds over the same
+/// engine shape reuses every buffer instead of reallocating per pass.
 #[derive(Debug, Default)]
 pub(crate) struct RoundScratch {
     completion: Vec<Option<TimeQ>>,
     proc_avail: Vec<TimeQ>,
     cursors: Vec<(u64, usize)>,
     pub(crate) records: Vec<JobRecord>,
-    /// Fingerprint-keyed frame memo for the memoized sequential loop.
     /// Living in the scratch (hence in `RunScratch`) lets a serve worker's
-    /// steady state reuse the entry buffers run after run.
+    /// steady state reuse the memo's entry buffers run after run.
     memo: FrameMemo,
 }
 
@@ -311,118 +267,144 @@ impl RoundScratch {
         Self::default()
     }
 
-    /// Cumulative frame-memo `(hits, misses)` over every memoized compute
-    /// into this scratch. Both stay zero when the memo never engages
-    /// (disabled, non-`Wcet` model, bounded FIFOs, or the plain loop).
+    /// Cumulative frame-memo `(hits, misses)` over every compute into this
+    /// scratch. Both stay zero when the memo never engages: a non-`Wcet`
+    /// execution-time model, or the oracle loop.
     pub(crate) fn memo_stats(&self) -> (u64, u64) {
         (self.memo.hits, self.memo.misses)
     }
 }
 
-/// A bounded, FNV-fingerprint-keyed table of computed frames.
+/// Consecutive misses after which the frame memo disengages for the rest
+/// of the run. Periodic FMS settles after two misses (frame 1 seeds every
+/// later hit), so this leaves room for a longer transient, while a run
+/// whose frames never repeat pays for at most this many lookups and
+/// inserts.
+pub const MEMO_MISS_BUDGET: u64 = 4;
+
+/// A bounded table of computed frames, keyed by their **exact** inputs.
 ///
-/// One entry memoizes one frame's full round table (records plus the
-/// processor-availability snapshot it leaves behind), stored **absolute**
-/// alongside the source frame's base time; replay shifts everything by
-/// `base_now − src_base`. The table is reset (keys cleared, entry buffers
-/// retained) at the start of every compute, so entries never leak across
-/// runs — cross-run reuse is purely of buffer *capacity*, which is what
-/// keeps the steady-state hit and re-insert paths allocation-free.
+/// A frame's round table is built from `max` and `+` over its inputs, so it
+/// is translation-equivariant: shift every input time by `Δ` and every
+/// output time shifts by `Δ`. Under `Wcet` the execution times and every
+/// periodic slot are frame-invariant relative to the frame base, so two
+/// frames whose remaining inputs agree relative to their own bases produce
+/// round tables that are exact `+k·H` translates. Those inputs are the key:
 ///
-/// Lookup is a linear scan over at most [`FrameMemo::CAPACITY`] keys:
-/// distinct fingerprints per run are bounded by the distinct carry-in
-/// states, which periodic workloads keep at one or two, and a scan of 16
-/// `u64`s beats any hash-map indirection at that size. Eviction is a plain
-/// ring over the slots.
+/// * the carry-in, stored in the entry: per-processor availability and the
+///   previous frame's wrap-predecessor completions, relative to the base;
+/// * the server-slot resolutions and the release gate, compared against
+///   the source frame's slabs by [`RoundEngine::same_frame_inputs`].
+///
+/// An entry keeps the availability its frame left and its
+/// wrap-predecessor completions, both absolute. Its records need no copy:
+/// every frame appends exactly `n_jobs` records, so the source frame's
+/// block is `records[src * n_jobs..]` of the run being computed. Replay
+/// shifts all of it by `base − src_base`. The table is reset at the start
+/// of every compute (entries forgotten, buffers kept), so nothing leaks
+/// across runs and the steady-state hit and insert paths allocate nothing.
+/// Lookup scans at most [`FrameMemo::CAPACITY`] entries, each rejected at
+/// its first differing word; eviction is a ring.
 #[derive(Debug, Default)]
 struct FrameMemo {
-    /// Live fingerprints; `keys[i]` owns `entries[i]`.
-    keys: Vec<u64>,
-    /// Entry buffers; may outnumber `keys` after a reset (spares keep
-    /// their capacity for re-insertion).
+    /// `entries[..len]` are live; spares past `len` keep their capacity.
     entries: Vec<MemoEntry>,
-    /// Next slot to overwrite once the table is full.
+    len: usize,
     next_evict: usize,
+    /// The current frame's carry-in, relative to its base.
+    carry_in: Vec<TimeQ>,
+    /// Whether the memo still looks up and inserts in this compute.
+    engaged: bool,
+    /// Whether the blocks computed so far are sorted into the canonical
+    /// per-frame order. Set by the first hit, so a run that never replays
+    /// never pays for a sort.
+    sorted: bool,
+    /// Consecutive misses; the memo disengages at [`MEMO_MISS_BUDGET`].
+    streak: u64,
     hits: u64,
     misses: u64,
 }
 
-/// One memoized frame: the records it produced and the per-processor
-/// availability it left, both absolute, plus the frame base they are
-/// relative to under translation.
+/// One memoized frame: its key's carry-in half, and what replaying it
+/// needs besides its block of records.
 #[derive(Debug, Default)]
 struct MemoEntry {
+    src_frame: usize,
     src_base: TimeQ,
-    records: Vec<JobRecord>,
+    carry_in: Vec<TimeQ>,
     avail_out: Vec<TimeQ>,
-    /// The frame's completions at the wrap-predecessor jobs (absolute).
-    /// These are the only completion slots any *later* frame reads — via
-    /// `wrap_preds_of` during computation and `wrap_pred_data` during
-    /// fingerprinting — so a replay hit fills just these few instead of
-    /// storing all `n_jobs` completions back.
+    /// The frame's completions at the wrap-predecessor jobs: the only
+    /// completion slots a later frame reads (its carry-in and its wrap
+    /// waits), so a replay fills just these.
     wrap_out: Vec<(u32, TimeQ)>,
 }
 
 impl FrameMemo {
     const CAPACITY: usize = 16;
 
-    /// Forgets every entry while keeping all buffer capacity (and the
-    /// cumulative hit/miss counters).
-    fn reset(&mut self) {
-        self.keys.clear();
+    /// Forgets every entry, keeping all buffer capacity and the cumulative
+    /// counters. `engage` says whether this compute may replay at all.
+    fn reset(&mut self, engage: bool) {
+        self.len = 0;
         self.next_evict = 0;
+        self.streak = 0;
+        self.engaged = engage;
+        self.sorted = false;
     }
 
-    /// Looks up a fingerprint, counting the hit or miss.
-    fn lookup(&mut self, fingerprint: u64) -> Option<usize> {
-        match self.keys.iter().position(|&k| k == fingerprint) {
-            Some(i) => {
-                self.hits += 1;
-                Some(i)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+    /// Finds an entry whose carry-in equals `self.carry_in` and whose
+    /// source frame `same_inputs` accepts, counting the hit or miss. The
+    /// miss that completes [`MEMO_MISS_BUDGET`] consecutive misses
+    /// disengages the memo.
+    fn lookup(&mut self, same_inputs: impl Fn(&MemoEntry) -> bool) -> Option<usize> {
+        let found = self.entries[..self.len]
+            .iter()
+            .position(|e| e.carry_in == self.carry_in && same_inputs(e));
+        if found.is_some() {
+            self.hits += 1;
+            self.streak = 0;
+        } else {
+            self.misses += 1;
+            self.streak += 1;
+            self.engaged = self.streak < MEMO_MISS_BUDGET;
         }
+        found
     }
 
-    /// Memoizes one computed frame, evicting round-robin when full. The
-    /// copy is `clear` + `extend_from_slice` into retained buffers:
-    /// allocation-free once the buffers have warmed to the frame size.
+    /// Memoizes one computed frame under the current carry-in, evicting
+    /// round-robin when full. Every copy is `clear` + `extend` into
+    /// retained buffers: allocation-free once they have warmed up.
     fn insert(
         &mut self,
-        fingerprint: u64,
+        src_frame: usize,
         src_base: TimeQ,
-        records: &[JobRecord],
         avail: &[TimeQ],
         wrap_preds: &[JobId],
         frame_completion: &[Option<TimeQ>],
     ) {
-        let slot = if self.keys.len() < Self::CAPACITY {
-            self.keys.push(fingerprint);
-            if self.entries.len() < self.keys.len() {
+        let slot = if self.len < Self::CAPACITY {
+            if self.entries.len() == self.len {
                 self.entries.push(MemoEntry::default());
             }
-            self.keys.len() - 1
+            self.len += 1;
+            self.len - 1
         } else {
             let slot = self.next_evict;
             self.next_evict = (slot + 1) % Self::CAPACITY;
-            self.keys[slot] = fingerprint;
             slot
         };
         let entry = &mut self.entries[slot];
+        entry.src_frame = src_frame;
         entry.src_base = src_base;
-        entry.records.clear();
-        entry.records.extend_from_slice(records);
+        entry.carry_in.clear();
+        entry.carry_in.extend_from_slice(&self.carry_in);
         entry.avail_out.clear();
         entry.avail_out.extend_from_slice(avail);
         entry.wrap_out.clear();
-        for &p in wrap_preds {
-            let j = p.index();
-            let done = frame_completion[j].expect("memoized frames are complete");
-            entry.wrap_out.push((j as u32, done));
-        }
+        entry.wrap_out.extend(wrap_preds.iter().map(|p| {
+            let done = frame_completion[p.index()].expect("memoized frames are complete");
+            (p.index() as u32, done)
+        }));
     }
 }
 
@@ -455,21 +437,14 @@ pub(crate) struct RoundEngine<'a> {
     frame_gates: Vec<TimeQ>,
     h: TimeQ,
     overhead: OverheadModel,
-    /// Whether the round loop may consult the frame memo: requested via
-    /// [`SimConfig::memo`] **and** sound to replay — the
-    /// deterministic [`ExecTimeModel::Wcet`] model on a network without
-    /// bounded-capacity FIFOs. Everything else computes every frame live.
-    memo_enabled: bool,
-    /// Job indices whose slots are server (sporadic) slots — the only
-    /// slots whose resolution can differ between frames relative to the
-    /// frame base, hence the only slots the frame fingerprint must absorb.
+    /// Whether frames may replay from the memo: only under the
+    /// [`ExecTimeModel::Wcet`] model, whose execution times are a pure
+    /// function of the job. Every other model computes every frame live.
+    replay: bool,
+    /// Job indices of the server (sporadic) slots: the only slots whose
+    /// resolution can differ between frames relative to the frame base,
+    /// hence the only ones a memo lookup compares.
     server_slots: Vec<usize>,
-    /// Per-frame static fingerprint contribution (server-slot resolutions
-    /// and the release gate, relative to the frame base) — fixed once the
-    /// stimuli are bound, so it is hashed once at engine build instead of
-    /// once per compute. Empty unless the memo is enabled; the
-    /// collision-audit path builds its own copy on demand.
-    frame_fp_static: Vec<u64>,
     /// Cooperative cancellation, polled at round/frame boundaries and per
     /// behavior job. `None` (the default) compiles the checks down to a
     /// branch on a constant — classic runs pay nothing.
@@ -519,19 +494,7 @@ impl<'a> RoundEngine<'a> {
             .map(|f| TimeQ::from_int(f as i64) * h + config.overhead.frame_overhead(f))
             .collect();
 
-        // Replay is only sound when the exec-time draws are a pure function
-        // of the job (`Wcet`: sample ≡ wcet, frame-invariant by
-        // construction); the bounded-FIFO exclusion is deliberately
-        // conservative — round *times* ignore capacities, but capacity
-        // networks already take fallback paths elsewhere (sharding) and the
-        // differential suite pins this gate as a fallback case.
-        let memo_enabled = config.memo
-            && matches!(config.exec_time, ExecTimeModel::Wcet)
-            && !net.channels().iter().any(|c| c.capacity().is_some());
-
-        // Built unconditionally (it is one cheap pass) so the
-        // collision-audit path fingerprints identically whether or not the
-        // memo itself is enabled.
+        let replay = matches!(config.exec_time, ExecTimeModel::Wcet);
         let server_slots: Vec<usize> = graph
             .jobs()
             .iter()
@@ -540,13 +503,13 @@ impl<'a> RoundEngine<'a> {
             .map(|(i, _)| i)
             .collect();
         #[cfg(debug_assertions)]
-        if memo_enabled {
-            // The fingerprint skips non-server slots because their
-            // resolution is frame-invariant relative to the frame base
+        if replay {
+            // A memo lookup compares only server slots because periodic
+            // slots are frame-invariant relative to the frame base
             // (`Template::Periodic`: invoked = base + A_i, deadline =
-            // invoked + D_i, always executable). Pin that template
-            // contract here so a future resolver change cannot silently
-            // unsound the memo.
+            // invoked + D_i, always executable). Pin that template contract
+            // here so a future resolver change cannot silently unsound the
+            // memo.
             for f in 1..frames as usize {
                 let base = TimeQ::from_int(f as i64) * h;
                 for (j, job) in graph.jobs().iter().enumerate() {
@@ -561,7 +524,7 @@ impl<'a> RoundEngine<'a> {
             }
         }
 
-        let mut engine = RoundEngine {
+        Ok(RoundEngine {
             graph,
             frames,
             n_jobs,
@@ -574,37 +537,10 @@ impl<'a> RoundEngine<'a> {
             frame_gates,
             h,
             overhead: config.overhead,
-            memo_enabled,
+            replay,
             server_slots,
-            frame_fp_static: Vec::new(),
             cancel: None,
-        };
-        if engine.memo_enabled {
-            engine.frame_fp_static = engine.build_static_frame_fps();
-        }
-        Ok(engine)
-    }
-
-    /// Hashes each frame's static fingerprint contribution: the server
-    /// slots' resolutions and the release gate, relative to the frame
-    /// base. Everything else a frame's round computation depends on is
-    /// either carry-in (hashed per compute) or frame-invariant by template
-    /// construction (see the `debug_assert` in [`RoundEngine::new`]).
-    fn build_static_frame_fps(&self) -> Vec<u64> {
-        (0..self.frames)
-            .map(|frame| {
-                let base = TimeQ::from_int(frame as i64) * self.h;
-                let slots = frame as usize * self.n_jobs;
-                let mut h = ContentHasher::new();
-                for &j in &self.server_slots {
-                    h.write_time_words(self.slot_invoked[slots + j] - base);
-                    h.write_time_words(self.slot_deadline[slots + j] - base);
-                    h.write_u64_word(u64::from(self.slot_executable[slots + j]));
-                }
-                h.write_time_words(self.frame_gates[frame as usize] - base);
-                h.finish()
-            })
-            .collect()
+        })
     }
 
     /// Arms cooperative cancellation: the round loop polls `token` at
@@ -703,27 +639,207 @@ impl<'a> RoundEngine<'a> {
     }
 
     /// Computes every round on one thread into caller-owned scratch
-    /// buffers by polling per-processor cursors: after one warm-up pass
-    /// over the same engine shape, repeated calls perform **zero heap
-    /// allocations** (asserted by the `alloc_zero` regression test in
-    /// `fppn-bench`). The computed records are left in `scratch.records`.
+    /// buffers, frame by frame: sound because no round depends on a later
+    /// frame, and `canonicalize` makes production order irrelevant. The
+    /// records are left in `scratch.records`.
     ///
-    /// When the engine's memo gate is open this routes through the
-    /// fingerprint-keyed frame loop; a `Stalled` result there falls back to
-    /// the plain free-interleave loop below, whose `completed_rounds`
-    /// accounting is the dataflow fixed point (frame-major driving can stop
-    /// earlier when a stall in frame `f` keeps it from ever attempting
-    /// frame `f+1` rounds other processors could still finish).
-    pub(crate) fn compute_rounds_seq_into(
+    /// While the memo is engaged, each frame first looks up its exact
+    /// inputs, and a computed frame is memoized. A hit replays the source
+    /// frame's block shifted by the hyperperiods between them. The first
+    /// hit also sorts every block so far into the canonical per-frame order
+    /// `(completion, topological position)`, and each later computed block
+    /// is sorted as it is made. Replay preserves that order, so a replayed
+    /// run streams out already canonical and `canonicalize` takes its
+    /// linear fast path, while a run that never replays sorts nothing here.
+    ///
+    /// With `audit`, a hit is computed live instead of replayed and logged
+    /// as `(frame, source frame)`: the seam that checks key-equal frames
+    /// really are translates. After one warm-up pass over the same engine
+    /// shape, repeated calls perform **zero heap allocations** (asserted by
+    /// the `alloc_zero` gates in `fppn-bench`).
+    pub(crate) fn compute_rounds_into(
+        &self,
+        scratch: &mut RoundScratch,
+        mut audit: Option<&mut Vec<(u64, u64)>>,
+    ) -> Result<(), SimError> {
+        let RoundScratch {
+            completion,
+            proc_avail,
+            cursors,
+            records,
+            memo,
+        } = scratch;
+        completion.clear();
+        completion.resize(self.total_rounds(), None);
+        proc_avail.clear();
+        proc_avail.resize(self.m_procs, TimeQ::ZERO);
+        records.clear();
+        records.reserve(self.total_rounds());
+        memo.reset(self.replay);
+        let n_jobs = self.n_jobs;
+        let wrap_preds = &self.tables.wrap_pred_data;
+        for frame in 0..self.frames {
+            if self.cancelled() {
+                return Err(SimError::Cancelled {
+                    completed_rounds: records.len(),
+                });
+            }
+            let f = frame as usize;
+            let base = TimeQ::from_int(frame as i64) * self.h;
+            let mut hit = false;
+            if memo.engaged {
+                let carry_in = &mut memo.carry_in;
+                carry_in.clear();
+                carry_in.extend(proc_avail.iter().map(|&avail| avail - base));
+                if f > 0 {
+                    let prev = &completion[(f - 1) * n_jobs..f * n_jobs];
+                    let done = |p: &JobId| prev[p.index()].expect("the previous frame is complete");
+                    carry_in.extend(wrap_preds.iter().map(|p| done(p) - base));
+                }
+                if let Some(slot) = memo.lookup(|e| self.same_frame_inputs(f, base, e)) {
+                    if !memo.sorted {
+                        for g in 0..f {
+                            self.sort_block(&mut records[g * n_jobs..(g + 1) * n_jobs]);
+                        }
+                        memo.sorted = true;
+                    }
+                    let entry = &memo.entries[slot];
+                    if let Some(log) = audit.as_deref_mut() {
+                        log.push((frame, entry.src_frame as u64));
+                        hit = true;
+                    } else {
+                        let delta = base - entry.src_base;
+                        // One fused copy+shift pass over the source block.
+                        for i in entry.src_frame * n_jobs..(entry.src_frame + 1) * n_jobs {
+                            let rec = records[i];
+                            records.push(JobRecord {
+                                frame,
+                                invoked_at: rec.invoked_at + delta,
+                                start: rec.start + delta,
+                                completion: rec.completion + delta,
+                                deadline: rec.deadline + delta,
+                                ..rec
+                            });
+                        }
+                        for &(j, done) in &entry.wrap_out {
+                            completion[f * n_jobs + j as usize] = Some(done + delta);
+                        }
+                        for (avail, &src) in proc_avail.iter_mut().zip(&entry.avail_out) {
+                            *avail = src + delta;
+                        }
+                        continue;
+                    }
+                }
+            }
+            self.compute_frame(frame, completion, proc_avail, cursors, records)?;
+            if !memo.engaged {
+                continue;
+            }
+            if memo.sorted {
+                self.sort_block(&mut records[f * n_jobs..]);
+            }
+            // No later frame can match the last frame, nor frame 0 on a
+            // network with wrap predecessors: its carry-in has no wrap part.
+            if !hit && frame + 1 < self.frames && (f > 0 || wrap_preds.is_empty()) {
+                memo.insert(
+                    f,
+                    base,
+                    proc_avail,
+                    wrap_preds,
+                    &completion[f * n_jobs..(f + 1) * n_jobs],
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Sorts one frame's block into the canonical per-frame order
+    /// `(completion, topological position)`.
+    fn sort_block(&self, block: &mut [JobRecord]) {
+        let topo_pos = &self.tables.topo_pos;
+        block.sort_unstable_by(|a, b| {
+            (a.completion, topo_pos[a.job.index()]).cmp(&(b.completion, topo_pos[b.job.index()]))
+        });
+    }
+
+    /// Whether frame `frame` sees the same server-slot resolutions and
+    /// release gate as `entry`'s source frame, each relative to its own
+    /// base: with equal carry-ins, the rest of a memo key. Periodic slots
+    /// and `Wcet` execution times need no check; they are frame-invariant
+    /// relative to the base (pinned by a `debug_assert` in
+    /// [`RoundEngine::new`]).
+    fn same_frame_inputs(&self, frame: usize, base: TimeQ, entry: &MemoEntry) -> bool {
+        let delta = base - entry.src_base;
+        let (cur, src) = (frame * self.n_jobs, entry.src_frame * self.n_jobs);
+        self.frame_gates[frame] == self.frame_gates[entry.src_frame] + delta
+            && self.server_slots.iter().all(|&j| {
+                self.slot_executable[cur + j] == self.slot_executable[src + j]
+                    && self.slot_invoked[cur + j] == self.slot_invoked[src + j] + delta
+                    && self.slot_deadline[cur + j] == self.slot_deadline[src + j] + delta
+            })
+    }
+
+    /// Drives every processor's cursor through exactly one frame (free
+    /// interleaving *within* the frame — sound because no round depends on
+    /// a later frame), appending the frame's `n_jobs` records.
+    fn compute_frame(
+        &self,
+        frame: u64,
+        completion: &mut [Option<TimeQ>],
+        proc_avail: &mut [TimeQ],
+        cursors: &mut Vec<(u64, usize)>,
+        records: &mut Vec<JobRecord>,
+    ) -> Result<(), SimError> {
+        cursors.clear();
+        cursors.resize(self.m_procs, (frame, 0));
+        let n_jobs = self.n_jobs;
+        let mut done = 0usize;
+        while done < n_jobs {
+            if self.cancelled() {
+                return Err(SimError::Cancelled {
+                    completed_rounds: records.len(),
+                });
+            }
+            let mut progressed = false;
+            for (m, cursor) in cursors.iter_mut().enumerate() {
+                let order = self.proc_order(m);
+                while cursor.1 < order.len() {
+                    let id = order[cursor.1];
+                    let lookup =
+                        |f: u64, p: JobId| completion[f as usize * n_jobs + p.index()];
+                    let Some(rec) = self.try_round(frame, id, m, proc_avail[m], lookup)
+                    else {
+                        break;
+                    };
+                    completion[frame as usize * n_jobs + id.index()] = Some(rec.completion);
+                    proc_avail[m] = rec.completion;
+                    records.push(rec);
+                    cursor.1 += 1;
+                    done += 1;
+                    progressed = true;
+                }
+            }
+            if !progressed && done < n_jobs {
+                return Err(SimError::Stalled {
+                    completed_rounds: records.len(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The free-interleave loop: every processor's cursor runs as far as
+    /// its predecessors allow, across frame boundaries, with no memo. Kept
+    /// only as the differential oracle behind
+    /// [`crate::hotpath::simulate_oracle`], the way `list_schedule_naive`
+    /// is kept for the scheduler. Its `Stalled` count is the dataflow fixed
+    /// point, which can exceed the frame-major count of
+    /// [`Self::compute_rounds_into`]: other processors may finish rounds of
+    /// later frames after one frame stalls.
+    pub(crate) fn compute_rounds_oracle_into(
         &self,
         scratch: &mut RoundScratch,
     ) -> Result<(), SimError> {
-        if self.memo_enabled {
-            match self.compute_rounds_memo_into(scratch) {
-                Err(SimError::Stalled { .. }) => {}
-                other => return other,
-            }
-        }
         let RoundScratch {
             completion,
             proc_avail,
@@ -780,239 +896,6 @@ impl<'a> RoundEngine<'a> {
         Ok(())
     }
 
-    /// Fingerprints frame `frame`'s full round-computation input, relative
-    /// to its base time `frame · H`:
-    ///
-    /// * the determinism class of the exec-time draws (only `Wcet`
-    ///   memoizes, so this tag is future-proofing, not discrimination);
-    /// * per-processor carry-in availability, `proc_avail − base`;
-    /// * the previous frame's completions at every wrap-predecessor slot,
-    ///   `completion − base` (hashed only on networks that *have* wrap
-    ///   predecessors; frame 0, which has none incoming, is tagged so it
-    ///   can still seed replay on wrap-free networks);
-    /// * `static_fp`, the frame's precomputed static contribution from
-    ///   [`RoundEngine::build_static_frame_fps`] — every **server** slot's
-    ///   resolution (`invoked_at − base`, `deadline − base`, executability)
-    ///   and the frame release gate, `gate − base`. Periodic slots are
-    ///   deliberately absent: their resolution is frame-invariant relative
-    ///   to the base by template construction (pinned by a `debug_assert`
-    ///   in [`RoundEngine::new`]), so hashing them would spend the bulk of
-    ///   the fingerprint cost discriminating nothing.
-    ///
-    /// Round arithmetic is built from `max` and `+` over these quantities
-    /// plus the (frame-invariant under `Wcet`) execution times, so it is
-    /// equivariant under time translation: equal fingerprints ⇒ the frames'
-    /// round tables are exact translates of each other. That implication is
-    /// what the collision-audit proptest exercises.
-    fn frame_fingerprint(
-        &self,
-        frame: u64,
-        base: TimeQ,
-        completion: &[Option<TimeQ>],
-        proc_avail: &[TimeQ],
-        static_fp: u64,
-    ) -> u64 {
-        // Word-granularity FNV throughout: this runs once per frame per
-        // compute over thousands of server slots, and the 16× round
-        // reduction vs the byte family is what keeps a fingerprint cheaper
-        // than the frame it saves.
-        let mut h = ContentHasher::new();
-        h.write_u64_word(0); // determinism class: Wcet
-        for &avail in proc_avail {
-            h.write_time_words(avail - base);
-        }
-        let t = self.tables;
-        if !t.wrap_pred_data.is_empty() {
-            h.write_u64_word(u64::from(frame == 0));
-            if frame > 0 {
-                let prev = (frame as usize - 1) * self.n_jobs;
-                for p in &t.wrap_pred_data {
-                    let done = completion[prev + p.index()]
-                        .expect("fingerprinting runs after the previous frame completed");
-                    h.write_time_words(done - base);
-                }
-            }
-        }
-        h.write_u64_word(static_fp);
-        h.finish()
-    }
-
-    /// Drives every processor's cursor through exactly one frame (free
-    /// interleaving *within* the frame — sound because no round depends on
-    /// a later frame), appending the frame's `n_jobs` records.
-    fn compute_frame(
-        &self,
-        frame: u64,
-        completion: &mut [Option<TimeQ>],
-        proc_avail: &mut [TimeQ],
-        cursors: &mut Vec<(u64, usize)>,
-        records: &mut Vec<JobRecord>,
-    ) -> Result<(), SimError> {
-        cursors.clear();
-        cursors.resize(self.m_procs, (frame, 0));
-        let n_jobs = self.n_jobs;
-        let mut done = 0usize;
-        while done < n_jobs {
-            if self.cancelled() {
-                return Err(SimError::Cancelled {
-                    completed_rounds: records.len(),
-                });
-            }
-            let mut progressed = false;
-            for (m, cursor) in cursors.iter_mut().enumerate() {
-                let order = self.proc_order(m);
-                while cursor.1 < order.len() {
-                    let id = order[cursor.1];
-                    let lookup =
-                        |f: u64, p: JobId| completion[f as usize * n_jobs + p.index()];
-                    let Some(rec) = self.try_round(frame, id, m, proc_avail[m], lookup)
-                    else {
-                        break;
-                    };
-                    completion[frame as usize * n_jobs + id.index()] = Some(rec.completion);
-                    proc_avail[m] = rec.completion;
-                    records.push(rec);
-                    cursor.1 += 1;
-                    done += 1;
-                    progressed = true;
-                }
-            }
-            if !progressed && done < n_jobs {
-                return Err(SimError::Stalled {
-                    completed_rounds: records.len(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// The memoized sequential loop: frame-major (valid because rounds
-    /// never depend on later frames and `canonicalize` makes record
-    /// production order irrelevant), fingerprinting each frame's carry-in
-    /// and replaying the memoized round table — every time shifted by the
-    /// frame-base delta — on a fingerprint hit. A periodic workload
-    /// computes frame 0 and replays the other `N−1`.
-    fn compute_rounds_memo_into(&self, scratch: &mut RoundScratch) -> Result<(), SimError> {
-        let RoundScratch {
-            completion,
-            proc_avail,
-            cursors,
-            records,
-            memo,
-        } = scratch;
-        completion.clear();
-        completion.resize(self.total_rounds(), None);
-        proc_avail.clear();
-        proc_avail.resize(self.m_procs, TimeQ::ZERO);
-        records.clear();
-        records.reserve(self.total_rounds());
-        memo.reset();
-        let n_jobs = self.n_jobs;
-        for frame in 0..self.frames {
-            let base = TimeQ::from_int(frame as i64) * self.h;
-            let fp = self.frame_fingerprint(
-                frame,
-                base,
-                completion,
-                proc_avail,
-                self.frame_fp_static[frame as usize],
-            );
-            if let Some(slot) = memo.lookup(fp) {
-                let entry = &memo.entries[slot];
-                let delta = base - entry.src_base;
-                let out = frame as usize * n_jobs;
-                // One fused copy+shift pass (the slice iterator's exact
-                // length elides per-push capacity checks); these records
-                // are wide enough that a second patching pass over the
-                // block is measurably memory-bound.
-                records.extend(entry.records.iter().map(|rec| JobRecord {
-                    frame,
-                    invoked_at: rec.invoked_at + delta,
-                    start: rec.start + delta,
-                    completion: rec.completion + delta,
-                    deadline: rec.deadline + delta,
-                    ..*rec
-                }));
-                // Later frames only ever read the wrap-predecessor
-                // completions of this frame, so replay fills just those.
-                for &(j, done) in &entry.wrap_out {
-                    completion[out + j as usize] = Some(done + delta);
-                }
-                for (avail, &src) in proc_avail.iter_mut().zip(&entry.avail_out) {
-                    *avail = src + delta;
-                }
-            } else {
-                let start = records.len();
-                self.compute_frame(frame, completion, proc_avail, cursors, records)?;
-                // Sort the freshly computed block into the canonical
-                // per-frame order `(completion, topological position)`
-                // before memoizing it: replays (a uniform time shift)
-                // preserve the order, so the whole memoized run streams
-                // out already canonical and `canonicalize`'s sorted fast
-                // path collapses the final sort to a linear scan.
-                let topo_pos = &self.tables.topo_pos;
-                records[start..].sort_unstable_by(|a, b| {
-                    (a.completion, topo_pos[a.job.index()])
-                        .cmp(&(b.completion, topo_pos[b.job.index()]))
-                });
-                let out = frame as usize * n_jobs;
-                memo.insert(
-                    fp,
-                    base,
-                    &records[start..],
-                    proc_avail,
-                    &self.tables.wrap_pred_data,
-                    &completion[out..out + n_jobs],
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// The frame-major loop with **replay disabled**: computes every frame
-    /// live while reporting each frame's fingerprint. This is the
-    /// collision-audit seam — a test can check that fingerprint-equal
-    /// frames really did produce translate-identical round tables, with no
-    /// memo in the loop to make the check vacuous. Fingerprints are only
-    /// meaningful under [`ExecTimeModel::Wcet`] (the fingerprint does not
-    /// absorb stochastic draws).
-    pub(crate) fn compute_rounds_fingerprinted(
-        &self,
-        scratch: &mut RoundScratch,
-        fingerprints: &mut Vec<u64>,
-    ) -> Result<(), SimError> {
-        let RoundScratch {
-            completion,
-            proc_avail,
-            cursors,
-            records,
-            memo: _,
-        } = scratch;
-        completion.clear();
-        completion.resize(self.total_rounds(), None);
-        proc_avail.clear();
-        proc_avail.resize(self.m_procs, TimeQ::ZERO);
-        records.clear();
-        records.reserve(self.total_rounds());
-        fingerprints.clear();
-        // The audit path works whether or not the memo is enabled, so it
-        // builds its own static contributions instead of relying on the
-        // engine's (empty-when-disabled) cache. Perf is irrelevant here.
-        let static_fps = self.build_static_frame_fps();
-        for frame in 0..self.frames {
-            let base = TimeQ::from_int(frame as i64) * self.h;
-            fingerprints.push(self.frame_fingerprint(
-                frame,
-                base,
-                completion,
-                proc_avail,
-                static_fps[frame as usize],
-            ));
-            self.compute_frame(frame, completion, proc_avail, cursors, records)?;
-        }
-        Ok(())
-    }
-
     /// Sorts `records` into the canonical total order `(completion, frame,
     /// topological position)` and assigns each executed round its global
     /// invocation count — a pure function of that order, so both data
@@ -1021,10 +904,10 @@ impl<'a> RoundEngine<'a> {
     fn canonicalize(&self, net: &Fppn, records: &mut [JobRecord]) {
         let topo_pos = &self.tables.topo_pos;
         let key = |r: &JobRecord| (r.completion, r.frame, topo_pos[r.job.index()] as u32);
-        // Sorted fast path: the memoized sequential loop emits each frame
-        // block pre-sorted, so on schedulable workloads (no frame overruns
-        // its hyperperiod) the concatenation is already canonical and one
-        // linear scan replaces the sort + permutation entirely.
+        // Sorted fast path: while the memo is engaged the round loop emits
+        // each frame block pre-sorted, so a replayed run on a schedulable
+        // workload (no frame overruns its hyperperiod) is already canonical
+        // and one linear scan replaces the sort + permutation entirely.
         if !records.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
             // Decorate-sort-permute with an *unstable* sort: the canonical
             // key is already a total order (the topological position is
@@ -1069,10 +952,10 @@ impl<'a> RoundEngine<'a> {
     /// The canonical order `(completion, frame, topological position)` is a
     /// *total* order on rounds (the topological position is unique per job
     /// within a frame), so the result is independent of the order in which
-    /// the round loop produced the records (plain or memoized) — the
-    /// keystone of the bit-identity contract. Every record exists before
-    /// the first behavior fires.
-    fn finalize(
+    /// a round loop produced the records (computed, replayed, or the
+    /// oracle's) — the keystone of the bit-identity contract. Every record
+    /// exists before the first behavior fires.
+    pub(crate) fn finalize(
         &self,
         net: &Fppn,
         bank: &BehaviorBank,
@@ -1201,9 +1084,7 @@ impl<'a> RoundEngine<'a> {
 
 /// Simulates `config.frames` frames of the static-order policy: compiles
 /// the round tables for `schedule`, then runs them (the one-shot form of
-/// [`CompiledNetwork::simulate`](crate::CompiledNetwork::simulate)). The
-/// default config is the sequential oracle the differential suite checks
-/// every other [`SimConfig`] against.
+/// [`CompiledNetwork::simulate`](crate::CompiledNetwork::simulate)).
 ///
 /// # Errors
 ///
@@ -1226,10 +1107,10 @@ pub fn simulate(
 /// plane `config.behavior_workers` selects, and render. Every public entry
 /// point is a wrapper over this.
 ///
-/// With a caller-owned `scratch` the round buffers stay warm for the next
-/// run (the records move into the returned [`SimRun`]); without one they
-/// are freed before the behaviors run, so a one-shot run holds no round
-/// table it no longer needs.
+/// With a caller-owned `scratch` the round buffers and memo entries stay
+/// warm for the next run (the records move into the returned [`SimRun`]);
+/// without one they are freed before the behaviors run, so a one-shot run
+/// holds no round table it no longer needs.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     net: &Fppn,
@@ -1247,12 +1128,12 @@ pub(crate) fn run(
     }
     let records = match scratch {
         Some(scratch) => {
-            engine.compute_rounds_seq_into(scratch)?;
+            engine.compute_rounds_into(scratch, None)?;
             std::mem::take(&mut scratch.records)
         }
         None => {
             let mut scratch = RoundScratch::new();
-            engine.compute_rounds_seq_into(&mut scratch)?;
+            engine.compute_rounds_into(&mut scratch, None)?;
             scratch.records
         }
     };

@@ -89,12 +89,12 @@ pub fn random_sporadic_trace(
 /// hyperperiod.
 ///
 /// Every frame then carries the *same* arrival pattern relative to its
-/// own base, which is exactly the shape the frame memo
-/// ([`SimConfig::memo`](crate::SimConfig)) exploits: once the carry-in
-/// state settles, every later frame fingerprints equal to an earlier one
-/// and replays instead of recomputing. Ordinary
-/// [`random_sporadic_trace`] draws over the whole horizon, so no two
-/// frames ever match.
+/// own base, which is exactly the shape the round engine's frame memo
+/// exploits: once the carry-in state settles, every later frame's exact
+/// key equals an earlier one's and it replays instead of recomputing.
+/// Ordinary [`random_sporadic_trace`] draws over the whole horizon, so two
+/// frames match only by accident (or at density 1000, whose maximal-rate
+/// pattern has no random slack).
 ///
 /// The base pattern is drawn over `[0, hyperperiod − burst·period)`, so
 /// tiling cannot violate the `(m, T)` constraint across a frame

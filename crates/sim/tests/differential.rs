@@ -2,15 +2,16 @@
 //! sequential oracle (the same pattern that proves the event-driven
 //! scheduler against `list_schedule_naive`).
 //!
-//! The oracle is [`simulate`] with the default config: one round engine,
-//! the sequential behavior store, frame memo off. Every other setting —
-//! the sharded data plane at 1, 2, 4 and 8 threads
-//! (`SimConfig::behavior_workers`) and the frame memo (`SimConfig::memo`),
-//! crossed — must be bit-identical to it on every component of a
-//! [`SimRun`]: the per-round [`fppn_sim::JobRecord`]s (exact rational
-//! times, processors, ranks), the Gantt segments, the statistics and the
-//! observables — across random workloads, sporadic densities, overhead
-//! models, exec-time models and processor counts.
+//! The oracle is [`simulate_oracle`] on the sequential behavior store: the
+//! plain free-interleave round loop, which never replays a frame. Every
+//! other setting — the sharded data plane at 1, 2, 4 and 8 threads
+//! (`SimConfig::behavior_workers`), each through the oracle seam and
+//! through the default [`simulate`] with its frame memo — must be
+//! bit-identical to it on every component of a [`SimRun`]: the per-round
+//! [`fppn_sim::JobRecord`]s (exact rational times, processors, ranks), the
+//! Gantt segments, the statistics and the observables — across random
+//! workloads, sporadic densities, overhead models, exec-time models and
+//! processor counts.
 
 use fppn_apps::{
     adversarial_presets, fms_network, fms_wcet, random_workload, synthetic_fppn, FmsVariant,
@@ -18,11 +19,11 @@ use fppn_apps::{
 };
 use fppn_core::{BehaviorBank, Fppn, Stimuli};
 use fppn_sched::{list_schedule, Heuristic, StaticSchedule};
-use fppn_sim::hotpath::SeqRounds;
+use fppn_sim::hotpath::{simulate_oracle, SeqRounds, MEMO_MISS_BUDGET};
 use fppn_sim::{
-    adversarial_stimuli, clip_stimuli, compile_key, random_stimuli, simulate, AdversarialClass,
-    CancelToken, CompileConfig, CompiledNetwork, ExecTimeModel, OverheadModel, RunScratch,
-    SimConfig, SimRun, StaticTables,
+    adversarial_stimuli, clip_stimuli, compile_key, random_stimuli, simulate, sporadic_processes,
+    tiled_sporadic_trace, AdversarialClass, CancelToken, CompileConfig, CompiledNetwork,
+    ExecTimeModel, OverheadModel, RunScratch, SimConfig, SimError, SimRun, StaticTables,
 };
 use fppn_taskgraph::{derive_task_graph, DerivedTaskGraph};
 use fppn_time::TimeQ;
@@ -44,31 +45,58 @@ fn assert_bit_identical(seq: &SimRun, par: &SimRun, label: &str) {
 /// store, the rest the sharded plane.
 const BEHAVIOR_WORKERS: [usize; 5] = [0, 1, 2, 4, 8];
 
-/// `base` with the oracle's execution settings: sequential store, memo off.
-fn oracle_config(base: SimConfig) -> SimConfig {
-    SimConfig {
-        behavior_workers: 0,
-        memo: false,
-        ..base
+/// One execution setting: a data-plane thread budget, run through the
+/// oracle seam's plain round loop or through the default memoized one.
+#[derive(Debug, Clone, Copy)]
+struct Setting {
+    behavior_workers: usize,
+    oracle: bool,
+}
+
+/// The reference setting: the oracle seam on the sequential store.
+const ORACLE: Setting = Setting {
+    behavior_workers: 0,
+    oracle: true,
+};
+
+impl Setting {
+    /// Runs one simulation under this setting over `base`'s semantic fields.
+    fn simulate(
+        self,
+        net: &Fppn,
+        bank: &BehaviorBank,
+        stimuli: &Stimuli,
+        derived: &DerivedTaskGraph,
+        schedule: &StaticSchedule,
+        base: SimConfig,
+    ) -> Result<SimRun, SimError> {
+        let config = SimConfig {
+            behavior_workers: self.behavior_workers,
+            ..base
+        };
+        if self.oracle {
+            simulate_oracle(net, bank, stimuli, derived, schedule, &config)
+        } else {
+            simulate(net, bank, stimuli, derived, schedule, &config)
+        }
     }
 }
 
-/// Every non-oracle execution setting over `base`'s semantic fields:
-/// [`BEHAVIOR_WORKERS`] × memo {off, on}, minus the oracle itself.
-fn sweep_configs(base: SimConfig) -> impl Iterator<Item = SimConfig> {
+/// Every non-oracle execution setting: [`BEHAVIOR_WORKERS`] × {oracle
+/// seam, default}, minus [`ORACLE`] itself.
+fn sweep_settings() -> impl Iterator<Item = Setting> {
     BEHAVIOR_WORKERS
         .into_iter()
-        .flat_map(move |behavior_workers| {
-            [false, true].into_iter().map(move |memo| SimConfig {
+        .flat_map(|behavior_workers| {
+            [true, false].map(|oracle| Setting {
                 behavior_workers,
-                memo,
-                ..base
+                oracle,
             })
         })
-        .filter(|c| c.behavior_workers != 0 || c.memo)
+        .filter(|s| s.behavior_workers != 0 || !s.oracle)
 }
 
-/// Runs the oracle and every [`sweep_configs`] setting of one simulation
+/// Runs the oracle and every [`sweep_settings`] setting of one simulation
 /// and asserts each bit-identical to the oracle. Returns the oracle run.
 fn assert_sweep_matches_oracle(
     net: &Fppn,
@@ -79,19 +107,14 @@ fn assert_sweep_matches_oracle(
     base: SimConfig,
     label: &str,
 ) -> SimRun {
-    let oracle = simulate(net, bank, stimuli, derived, schedule, &oracle_config(base))
+    let oracle = ORACLE
+        .simulate(net, bank, stimuli, derived, schedule, base)
         .expect("sequential oracle");
-    for config in sweep_configs(base) {
-        let run = simulate(net, bank, stimuli, derived, schedule, &config)
-            .unwrap_or_else(|e| panic!("{label} {config:?}: {e}"));
-        assert_bit_identical(
-            &oracle,
-            &run,
-            &format!(
-                "{label} behavior_workers {} memo {}",
-                config.behavior_workers, config.memo
-            ),
-        );
+    for setting in sweep_settings() {
+        let run = setting
+            .simulate(net, bank, stimuli, derived, schedule, base)
+            .unwrap_or_else(|e| panic!("{label} {setting:?}: {e}"));
+        assert_bit_identical(&oracle, &run, &format!("{label} {setting:?}"));
     }
     oracle
 }
@@ -283,8 +306,7 @@ fn backends_agree_on_adversarial_stimuli_with_overheads() {
 }
 
 /// Bounded-capacity cross-process FIFOs cannot shard: every thread budget
-/// must fall back to the sequential store (and the memo must disengage),
-/// not panic or diverge.
+/// must fall back to the sequential store, not panic or diverge.
 #[test]
 fn sharded_behaviors_fall_back_on_bounded_fifos() {
     use fppn_core::{ChannelKind, ChannelSpec, EventSpec, FppnBuilder, JobCtx, ProcessSpec, Value};
@@ -399,8 +421,7 @@ fn sharded_plane_waits_on_late_upstream_writer_without_diverging() {
 fn dispatcher_routes_on_config_workers() {
     // The compiled artifact's three entry points (plain, reused scratch,
     // armed-but-untripped cancel token) must route every
-    // `behavior_workers` setting to the same result as the one-shot
-    // `simulate` oracle.
+    // `behavior_workers` setting to the same result as the oracle seam.
     let cfg = WorkloadConfig {
         periodic: 5,
         sporadic: 1,
@@ -422,7 +443,7 @@ fn dispatcher_routes_on_config_workers() {
         frames,
         ..SimConfig::default()
     };
-    let oracle = simulate(
+    let oracle = simulate_oracle(
         &w.net,
         &w.bank,
         &stimuli,
@@ -430,11 +451,15 @@ fn dispatcher_routes_on_config_workers() {
         artifact.schedule(),
         &base,
     )
-    .expect("oracle via simulate");
+    .expect("oracle seam");
     let mut scratch = RunScratch::new();
     let token = CancelToken::new();
-    for config in sweep_configs(base) {
-        let tag = format!("behavior_workers {} memo {}", config.behavior_workers, config.memo);
+    for behavior_workers in BEHAVIOR_WORKERS {
+        let config = SimConfig {
+            behavior_workers,
+            ..base
+        };
+        let tag = format!("behavior_workers {behavior_workers}");
         let plain = artifact.simulate(&w.bank, &stimuli, &config).expect("simulate");
         assert_bit_identical(&oracle, &plain, &format!("{tag} simulate"));
         let scratched = artifact
@@ -490,11 +515,12 @@ fn compiled_artifact_matches_fresh_compile_across_backends() {
             let fresh = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
                 .expect("fresh sequential");
             // Cache-hit path, every setting against the one artifact.
-            for run_cfg in std::iter::once(config).chain(sweep_configs(config)) {
-                let setting = format!(
-                    "behavior_workers {} memo {}",
-                    run_cfg.behavior_workers, run_cfg.memo
-                );
+            for behavior_workers in BEHAVIOR_WORKERS {
+                let run_cfg = SimConfig {
+                    behavior_workers,
+                    ..config
+                };
+                let setting = format!("behavior_workers {behavior_workers}");
                 let cached = artifact
                     .simulate(&w.bank, &stimuli, &run_cfg)
                     .expect("cached artifact run");
@@ -617,9 +643,9 @@ proptest! {
             exec_time: ExecTimeModel::typical_jitter(exec_seed),
             ..SimConfig::default()
         };
-        let seq = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &config).unwrap();
-        for run_cfg in sweep_configs(config) {
-            let run = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &run_cfg).unwrap();
+        let seq = simulate_oracle(&w.net, &w.bank, &stimuli, &derived, &schedule, &config).unwrap();
+        for setting in sweep_settings() {
+            let run = setting.simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, config).unwrap();
             prop_assert_eq!(&seq.records, &run.records);
             prop_assert_eq!(&seq.observables, &run.observables);
             prop_assert_eq!(&seq.gantt, &run.gantt);
@@ -659,14 +685,13 @@ proptest! {
     }
 }
 
-/// Frame memoization differential sweep: with `memo: true`, both data
-/// planes must stay bit-identical to the memo-off sequential oracle —
-/// across the adversarial stimulus classes (sporadic bursts, floods, tie
-/// storms, external inputs), frame counts spanning no-reuse (1) through
-/// heavy reuse (32), and both the memoizing exec model (`Wcet`) and a
-/// stochastic one that must fall back to the live loop. The one round
-/// loop feeds every data plane, so the memo is consulted whatever
-/// `behavior_workers` says.
+/// Frame memoization differential sweep: the default run, which replays
+/// repeated frames from the memo, must stay bit-identical on both data
+/// planes to the oracle seam, which never replays — across the adversarial
+/// stimulus classes (sporadic bursts, floods, tie storms, external inputs),
+/// frame counts spanning no reuse (1) through heavy reuse (32), and both
+/// the replaying exec model (`Wcet`) and a stochastic one that computes
+/// every frame live.
 #[test]
 fn memo_on_is_bit_identical_to_memo_off_across_backends() {
     for (label, fppn_cfg) in adversarial_presets() {
@@ -675,8 +700,8 @@ fn memo_on_is_bit_identical_to_memo_off_across_backends() {
         let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
         for frames in [1u64, 8, 32] {
             let horizon = TimeQ::from_int(frames as i64) * derived.hyperperiod;
-            // At 32 frames only the memoizing model is interesting (the
-            // stochastic fallback is already pinned at 1 and 8).
+            // At 32 frames only the replaying model is interesting (the
+            // stochastic model is already pinned at 1 and 8).
             let execs: &[ExecTimeModel] = if frames == 32 {
                 &[ExecTimeModel::Wcet]
             } else {
@@ -692,16 +717,16 @@ fn memo_on_is_bit_identical_to_memo_off_across_backends() {
                         ..SimConfig::default()
                     };
                     let tag = format!("{label} {} f{frames} {exec:?}", class.name());
-                    let oracle = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &base)
-                        .expect("memo-off oracle");
+                    let oracle =
+                        simulate_oracle(&w.net, &w.bank, &stimuli, &derived, &schedule, &base)
+                            .expect("oracle seam");
                     for behavior_workers in [0usize, 4] {
                         let on = SimConfig {
                             behavior_workers,
-                            memo: true,
                             ..base
                         };
                         let run = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &on)
-                            .expect("memo-on run");
+                            .expect("default run");
                         assert_bit_identical(
                             &oracle,
                             &run,
@@ -715,10 +740,9 @@ fn memo_on_is_bit_identical_to_memo_off_across_backends() {
 }
 
 /// On a pure-periodic production workload (FMS) every hyperperiod after
-/// the transient settles carries the same relative state, so the frame
-/// memo must actually engage — frames replay as hits, not recompute as
-/// misses — and the replayed run must equal the memo-off oracle bit for
-/// bit.
+/// the transient settles carries the same relative state, so the default
+/// run must replay: frames 0 and 1 miss, and frame 1 seeds a hit for every
+/// later frame. The replayed run must equal the oracle bit for bit.
 #[test]
 fn memo_replays_settled_periodic_frames_as_hits() {
     let (net, bank, ids) = fms_network(FmsVariant::Original);
@@ -728,54 +752,68 @@ fn memo_replays_settled_periodic_frames_as_hits() {
     let stimuli = Stimuli::new();
     let config = SimConfig {
         frames: 32,
-        memo: true,
         ..SimConfig::default()
     };
     let mut rounds =
         SeqRounds::new(&net, &stimuli, &derived, &tables, &config).expect("round engine");
     rounds.compute().expect("rounds");
-    let (hits, misses) = rounds.memo_stats();
-    assert_eq!(hits + misses, 32, "memo must be consulted for every frame");
-    assert!(
-        hits >= 24,
-        "periodic frames must replay as hits once settled (hits={hits}, misses={misses})"
+    assert_eq!(
+        rounds.memo_stats(),
+        (30, 2),
+        "periodic frames must replay as hits once settled"
     );
 
-    let frames = 8u64;
-    let off = simulate(
-        &net,
-        &bank,
-        &stimuli,
-        &derived,
-        &schedule,
-        &SimConfig {
-            frames,
-            ..SimConfig::default()
-        },
-    )
-    .expect("memo-off oracle");
-    let on = simulate(
-        &net,
-        &bank,
-        &stimuli,
-        &derived,
-        &schedule,
-        &SimConfig {
-            frames,
-            memo: true,
-            ..SimConfig::default()
-        },
-    )
-    .expect("memo-on run");
-    assert_bit_identical(&off, &on, "fms periodic memo replay");
+    let config = SimConfig {
+        frames: 8,
+        ..SimConfig::default()
+    };
+    let oracle =
+        simulate_oracle(&net, &bank, &stimuli, &derived, &schedule, &config).expect("oracle seam");
+    let replayed =
+        simulate(&net, &bank, &stimuli, &derived, &schedule, &config).expect("default run");
+    assert_bit_identical(&oracle, &replayed, "fms periodic memo replay");
 }
 
-/// The memo's soundness gate: bounded-capacity FIFOs and stochastic
-/// exec-time models disqualify the network/config from memoization
-/// entirely — the engine must fall back to the live loop (zero lookups,
-/// zero hits) and still produce the memo-off result bit for bit.
+/// Frames whose sporadic arrivals never repeat cannot replay: the memo
+/// must stop looking up after [`MEMO_MISS_BUDGET`] consecutive misses, with
+/// no hit, and the run must still equal the oracle bit for bit.
 #[test]
-fn memo_disengages_on_bounded_fifos_and_stochastic_exec() {
+fn memo_disengages_after_miss_budget_on_dense_sporadic_frames() {
+    let (net, bank, ids) = fms_network(FmsVariant::Original);
+    let derived = derive_task_graph(&net, &fms_wcet(&ids)).expect("derivable");
+    let schedule = list_schedule(&derived.graph, 4, Heuristic::AlapEdf);
+    let tables = StaticTables::build(&net, &derived, &schedule);
+    let frames = 8u64;
+    let horizon = TimeQ::from_int(frames as i64) * derived.hyperperiod;
+    // Density 900 keeps random slack between arrivals; at 1000 there is
+    // none, and the maximal-rate pattern repeats every frame.
+    let stimuli = random_stimuli(&net, horizon, 900, 0x3E34);
+    let stimuli = clip_stimuli(&net, &derived, &stimuli, frames);
+    let config = SimConfig {
+        frames,
+        ..SimConfig::default()
+    };
+    let mut rounds =
+        SeqRounds::new(&net, &stimuli, &derived, &tables, &config).expect("round engine");
+    rounds.compute().expect("rounds");
+    assert_eq!(
+        rounds.memo_stats(),
+        (0, MEMO_MISS_BUDGET),
+        "non-repeating frames must disengage the memo after the miss budget"
+    );
+    let oracle =
+        simulate_oracle(&net, &bank, &stimuli, &derived, &schedule, &config).expect("oracle seam");
+    let run = simulate(&net, &bank, &stimuli, &derived, &schedule, &config).expect("default run");
+    assert_bit_identical(&oracle, &run, "dense sporadic fms");
+}
+
+/// The memo's soundness gate is the execution-time model alone. Round
+/// times never read a channel capacity, so a network with bounded FIFOs
+/// replays like any other; a stochastic model samples different durations
+/// per frame, so it must never consult the table (zero lookups, zero
+/// hits). Both must produce the oracle's result bit for bit.
+#[test]
+fn memo_replays_on_bounded_fifos_and_disengages_on_stochastic_exec() {
     use fppn_core::{ChannelKind, ChannelSpec, EventSpec, FppnBuilder, JobCtx, ProcessSpec, Value};
     let ms = TimeQ::from_ms;
     let mut b = FppnBuilder::new();
@@ -798,37 +836,24 @@ fn memo_disengages_on_bounded_fifos_and_stochastic_exec() {
     let tables = StaticTables::build(&net, &derived, &schedule);
     let config = SimConfig {
         frames: 8,
-        memo: true,
         ..SimConfig::default()
     };
 
     let mut rounds =
         SeqRounds::new(&net, &Stimuli::new(), &derived, &tables, &config).expect("round engine");
     rounds.compute().expect("rounds");
-    assert_eq!(
-        rounds.memo_stats(),
-        (0, 0),
-        "bounded FIFOs must disable the memo entirely"
+    let (hits, _) = rounds.memo_stats();
+    assert!(
+        hits > 0,
+        "bounded FIFOs must not keep periodic frames from replaying"
     );
+    let oracle = simulate_oracle(&net, &bank, &Stimuli::new(), &derived, &schedule, &config)
+        .expect("oracle seam");
+    let replayed =
+        simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &config).expect("default run");
+    assert_bit_identical(&oracle, &replayed, "bounded-fifo memo replay");
 
-    let off = simulate(
-        &net,
-        &bank,
-        &Stimuli::new(),
-        &derived,
-        &schedule,
-        &SimConfig {
-            memo: false,
-            ..config
-        },
-    )
-    .expect("memo-off oracle");
-    let on = simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &config)
-        .expect("memo-on run");
-    assert_bit_identical(&off, &on, "bounded-fifo memo fallback");
-
-    // Stochastic exec times: the memo flag stays on but the engine must
-    // never consult the table (replay would freeze one sampled timeline).
+    // Stochastic exec times: replay would freeze one sampled timeline.
     let w = random_workload(&WorkloadConfig {
         periodic: 4,
         sporadic: 1,
@@ -840,7 +865,6 @@ fn memo_disengages_on_bounded_fifos_and_stochastic_exec() {
     let tables = StaticTables::build(&w.net, &derived, &schedule);
     let jitter = SimConfig {
         frames: 8,
-        memo: true,
         exec_time: ExecTimeModel::typical_jitter(0x3E32),
         ..SimConfig::default()
     };
@@ -852,41 +876,85 @@ fn memo_disengages_on_bounded_fifos_and_stochastic_exec() {
         (0, 0),
         "stochastic exec models must disable the memo entirely"
     );
-    let off = simulate(
-        &w.net,
-        &w.bank,
-        &Stimuli::new(),
-        &derived,
-        &schedule,
-        &SimConfig {
-            memo: false,
-            ..jitter
-        },
-    )
-    .expect("memo-off oracle");
-    let on = simulate(&w.net, &w.bank, &Stimuli::new(), &derived, &schedule, &jitter)
-        .expect("memo-on run");
-    assert_bit_identical(&off, &on, "stochastic memo fallback");
+    let stimuli = Stimuli::new();
+    let oracle = simulate_oracle(&w.net, &w.bank, &stimuli, &derived, &schedule, &jitter)
+        .expect("oracle seam");
+    let live =
+        simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &jitter).expect("default run");
+    assert_bit_identical(&oracle, &live, "stochastic memo fallback");
+}
+
+/// A schedule that puts a successor before its predecessor on one
+/// processor deadlocks. Both round loops must report it as
+/// [`SimError::Stalled`]; their counts differ by design. The default loop
+/// is frame-major and stops in frame 0, after processor 1's one round. The
+/// oracle's free interleave lets processor 1 finish its round in every
+/// frame first.
+#[test]
+fn stalled_schedule_is_reported_by_default_and_oracle() {
+    use fppn_core::{ChannelKind, EventSpec, FppnBuilder, ProcessSpec};
+    use fppn_sched::Placement;
+    let ms = TimeQ::from_ms;
+    let mut b = FppnBuilder::new();
+    let pred = b.process(ProcessSpec::new("pred", EventSpec::periodic(ms(100))));
+    let succ = b.process(ProcessSpec::new("succ", EventSpec::periodic(ms(100))));
+    b.process(ProcessSpec::new("free", EventSpec::periodic(ms(100))));
+    b.channel("c", pred, succ, ChannelKind::Fifo);
+    b.priority(pred, succ);
+    let (net, bank) = b.build().unwrap();
+    let derived = derive_task_graph(&net, &fppn_taskgraph::WcetModel::uniform(ms(10))).unwrap();
+    // Processor 0 runs `succ` before `pred`; processor 1 runs `free`.
+    let placements = derived
+        .graph
+        .jobs()
+        .iter()
+        .enumerate()
+        .map(|(i, job)| Placement {
+            job: fppn_taskgraph::JobId::from_index(i),
+            processor: usize::from(job.process != pred && job.process != succ),
+            start: if job.process == pred { ms(50) } else { ms(0) },
+        })
+        .collect();
+    let schedule = StaticSchedule::new(placements, 2, derived.hyperperiod);
+    let config = SimConfig {
+        frames: 4,
+        ..SimConfig::default()
+    };
+    let stalled = |result: Result<SimRun, SimError>| match result {
+        Err(SimError::Stalled { completed_rounds }) => completed_rounds,
+        other => panic!("expected Stalled, got {:?}", other.map(|r| r.stats)),
+    };
+    let default = simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &config);
+    assert_eq!(stalled(default), 1, "frame-major count: `free` in frame 0");
+    let oracle = simulate_oracle(&net, &bank, &Stimuli::new(), &derived, &schedule, &config);
+    assert_eq!(
+        stalled(oracle),
+        4,
+        "dataflow fixed point: `free` in every frame"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Collision audit for the frame fingerprint: over random workload
-    /// shapes and sporadic densities, any two frames that hash to the
-    /// same fingerprint must have produced round tables that are exact
-    /// time-translates of each other (same jobs, processors, miss/skip
-    /// flags; all four timestamps shifted by a whole number of
-    /// hyperperiods). A fingerprint collision between genuinely different
-    /// carry-in states would surface here as a non-translate pair.
+    /// Audit of the memo's exact key: over random workload shapes and
+    /// sporadic densities, with arrivals drawn over the whole horizon or
+    /// tiled per hyperperiod (so that frames can repeat), any two frames
+    /// the memo matched — computed live here instead of replayed — must
+    /// have produced round tables that are
+    /// exact time-translates of each other (same jobs, processors,
+    /// miss/skip flags; all four timestamps shifted by a whole number of
+    /// hyperperiods). A key that missed one of a frame's inputs would
+    /// surface here as a non-translate pair.
     #[test]
-    fn fingerprint_equal_frames_are_time_translates(
+    fn memo_key_equal_frames_are_time_translates(
         periodic in 2usize..6,
         sporadic in 0usize..3,
         density in 0u32..=1000,
         seed in any::<u64>(),
         m in 1usize..4,
         frames in 2u64..7,
+        tiled in any::<bool>(),
     ) {
         let cfg = WorkloadConfig {
             periodic,
@@ -897,20 +965,33 @@ proptest! {
         let w = random_workload(&cfg);
         let derived = derive_task_graph(&w.net, &w.wcet).unwrap();
         let horizon = TimeQ::from_int(frames as i64) * derived.hyperperiod;
-        let stimuli = random_stimuli(&w.net, horizon, density, seed ^ 0x3E33);
+        let mut stimuli = random_stimuli(&w.net, horizon, density, seed ^ 0x3E33);
+        if tiled {
+            for (i, pid) in sporadic_processes(&w.net).into_iter().enumerate() {
+                let ev = w.net.process(pid).event();
+                let trace = tiled_sporadic_trace(
+                    ev.burst(),
+                    ev.period(),
+                    derived.hyperperiod,
+                    frames,
+                    density,
+                    seed ^ i as u64,
+                );
+                stimuli.arrivals(pid, trace);
+            }
+        }
         let stimuli = clip_stimuli(&w.net, &derived, &stimuli, frames);
         let schedule = list_schedule(&derived.graph, m, Heuristic::AlapEdf);
         let tables = StaticTables::build(&w.net, &derived, &schedule);
         let config = SimConfig {
             frames,
-            memo: true,
             exec_time: ExecTimeModel::Wcet,
             ..SimConfig::default()
         };
         let mut rounds = SeqRounds::new(&w.net, &stimuli, &derived, &tables, &config).unwrap();
-        let mut fps = Vec::new();
-        let records = rounds.compute_fingerprinted(&mut fps).unwrap();
-        prop_assert_eq!(fps.len() as u64, frames);
+        let mut matches = Vec::new();
+        let records = rounds.compute_memo_audit(&mut matches).unwrap();
+        prop_assert_eq!(records.len(), frames as usize * derived.graph.job_count());
 
         let mut by_frame: Vec<Vec<&fppn_sim::JobRecord>> = vec![Vec::new(); frames as usize];
         for rec in &records {
@@ -919,31 +1000,20 @@ proptest! {
         for block in &mut by_frame {
             block.sort_by_key(|r| r.job.index());
         }
-        for i in 0..frames as usize {
-            for j in (i + 1)..frames as usize {
-                if fps[i] != fps[j] {
-                    continue;
-                }
-                let di = TimeQ::from_int(i as i64) * derived.hyperperiod;
-                let dj = TimeQ::from_int(j as i64) * derived.hyperperiod;
-                prop_assert_eq!(
-                    by_frame[i].len(),
-                    by_frame[j].len(),
-                    "fingerprint-equal frames {} and {} differ in record count",
-                    i,
-                    j
-                );
-                for (a, b) in by_frame[i].iter().zip(by_frame[j].iter()) {
-                    prop_assert_eq!(a.job, b.job, "frames {} vs {}", i, j);
-                    prop_assert_eq!(a.process, b.process, "frames {} vs {}", i, j);
-                    prop_assert_eq!(a.processor, b.processor, "frames {} vs {}", i, j);
-                    prop_assert_eq!(a.missed, b.missed, "frames {} vs {}", i, j);
-                    prop_assert_eq!(a.skipped, b.skipped, "frames {} vs {}", i, j);
-                    prop_assert_eq!(a.invoked_at - di, b.invoked_at - dj, "frames {} vs {}", i, j);
-                    prop_assert_eq!(a.start - di, b.start - dj, "frames {} vs {}", i, j);
-                    prop_assert_eq!(a.completion - di, b.completion - dj, "frames {} vs {}", i, j);
-                    prop_assert_eq!(a.deadline - di, b.deadline - dj, "frames {} vs {}", i, j);
-                }
+        for &(j, i) in &matches {
+            prop_assert!(i < j, "frame {} matched a later frame {}", j, i);
+            let shift = TimeQ::from_int((j - i) as i64) * derived.hyperperiod;
+            let (a, b) = (&by_frame[i as usize], &by_frame[j as usize]);
+            for (a, b) in a.iter().zip(b.iter()) {
+                prop_assert_eq!(a.job, b.job, "frames {} vs {}", i, j);
+                prop_assert_eq!(a.process, b.process, "frames {} vs {}", i, j);
+                prop_assert_eq!(a.processor, b.processor, "frames {} vs {}", i, j);
+                prop_assert_eq!(a.missed, b.missed, "frames {} vs {}", i, j);
+                prop_assert_eq!(a.skipped, b.skipped, "frames {} vs {}", i, j);
+                prop_assert_eq!(a.invoked_at + shift, b.invoked_at, "frames {} vs {}", i, j);
+                prop_assert_eq!(a.start + shift, b.start, "frames {} vs {}", i, j);
+                prop_assert_eq!(a.completion + shift, b.completion, "frames {} vs {}", i, j);
+                prop_assert_eq!(a.deadline + shift, b.deadline, "frames {} vs {}", i, j);
             }
         }
     }

@@ -18,9 +18,9 @@
 //!    both runs, nor introduce a deadline miss on such a job.
 //! 3. **Robustness (Prop. 4.1)**: the observable traces are invariant
 //!    across the execution settings (sequential store or sharded data
-//!    plane, frame memo off or on) under every adversarial stimulus
-//!    class, and invariant under the execution-time variation of the
-//!    shrink chain.
+//!    plane, oracle round loop or default memoized one) under every
+//!    adversarial stimulus class, and invariant under the execution-time
+//!    variation of the shrink chain.
 //!
 //! All stimuli come from `stimgen::adversarial` — seed-pinned SplitMix64
 //! streams aimed at window boundaries, maximal densities, cross-process
@@ -31,6 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use fppn_apps::{adversarial_presets, random_workload, synthetic_fppn, Workload, WorkloadConfig};
 use fppn_sched::{list_schedule, Heuristic};
+use fppn_sim::hotpath::simulate_oracle;
 use fppn_sim::{
     adversarial_stimuli, clip_stimuli, completion_table, max_density_flood_trace, missed_jobs,
     response_table, simulate, AdversarialClass, ExecTimeModel, SimConfig, SimRun,
@@ -252,8 +253,8 @@ fn assert_sustainable(p: &Prepared, m: usize, exec: ExecTimeModel, label: &str) 
 }
 
 /// Property 3: every execution setting — `behavior_workers` ∈ {0, 4} ×
-/// memo {off, on} — produces a run bit-identical to the sequential oracle
-/// under an adversarial stimulus.
+/// {oracle seam, default memoized loop} — produces a run bit-identical to
+/// the oracle seam on the sequential store under an adversarial stimulus.
 fn assert_backends_agree(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, exec: ExecTimeModel, label: &str) {
     let schedule = list_schedule(&p.derived.graph, m, Heuristic::AlapEdf);
     let config = SimConfig {
@@ -261,23 +262,20 @@ fn assert_backends_agree(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, e
         exec_time: exec,
         ..SimConfig::default()
     };
-    let seq = simulate(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
+    let seq = simulate_oracle(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
         .expect("sequential oracle");
-    for (behavior_workers, memo) in [(0usize, true), (4, false), (4, true)] {
-        let run = simulate(
-            &p.w.net,
-            &p.w.bank,
-            stimuli,
-            &p.derived,
-            &schedule,
-            &SimConfig {
-                behavior_workers,
-                memo,
-                ..config
-            },
-        )
+    for (behavior_workers, oracle) in [(0usize, false), (4, true), (4, false)] {
+        let config = SimConfig {
+            behavior_workers,
+            ..config
+        };
+        let run = if oracle {
+            simulate_oracle(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
+        } else {
+            simulate(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
+        }
         .expect("non-oracle setting");
-        let setting = format!("behavior_workers {behavior_workers} memo {memo}");
+        let setting = format!("behavior_workers {behavior_workers} oracle {oracle}");
         assert_eq!(seq.records, run.records, "{label} [{setting}]: records diverged");
         assert_eq!(
             seq.observables, run.observables,
@@ -440,7 +438,7 @@ fn robustness_across_backends_on_adversarial_stimuli() {
             let stimuli = clip_stimuli(&p.w.net, &p.derived, &raw, p.frames);
             for m in [1usize, 3] {
                 // `Wcet` is the model the frame memo replays under; the
-                // jitter model exercises its fallback to the live loop.
+                // jitter model computes every frame live.
                 for exec in [ExecTimeModel::Wcet, ExecTimeModel::typical_jitter(0x0B57 ^ m as u64)] {
                     assert_backends_agree(
                         &p,

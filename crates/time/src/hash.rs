@@ -102,32 +102,6 @@ impl ContentHasher {
         self.write_i128(t.denom());
     }
 
-    /// Absorbs a `u64` as a **single** FNV symbol (one xor-multiply round
-    /// instead of eight byte rounds). Word-granularity streams are *not*
-    /// interchangeable with byte-granularity ones — a hash built from
-    /// `write_u64_word` never equals one built from `write_u64` over the
-    /// same values — so a key must be produced exclusively by one family.
-    /// This is the hot-loop variant: the frame-fingerprint path hashes
-    /// tens of thousands of words per simulation and the 8× round
-    /// reduction is measurable there.
-    pub fn write_u64_word(&mut self, v: u64) {
-        self.state ^= v;
-        self.state = self.state.wrapping_mul(FNV_PRIME);
-    }
-
-    /// Absorbs an exact rational time as four word symbols (numerator and
-    /// denominator, low/high halves) via [`Self::write_u64_word`] — the
-    /// word-granularity counterpart of [`Self::write_time`], 16× fewer FNV
-    /// rounds. Equal [`TimeQ`] values always hash identically (normalized
-    /// representation); the same stream-family caveat applies.
-    pub fn write_time_words(&mut self, t: TimeQ) {
-        let (n, d) = (t.numer() as u128, t.denom() as u128);
-        self.write_u64_word(n as u64);
-        self.write_u64_word((n >> 64) as u64);
-        self.write_u64_word(d as u64);
-        self.write_u64_word((d >> 64) as u64);
-    }
-
     /// Returns the accumulated 64-bit hash.
     pub const fn finish(&self) -> u64 {
         self.state
@@ -161,26 +135,6 @@ mod tests {
         let mut b = ContentHasher::new();
         b.write_time(TimeQ::new(3, 2));
         assert_eq!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn word_writes_discriminate_and_match_value_equality() {
-        // Equal times hash identically through the word family…
-        let mut a = ContentHasher::new();
-        a.write_time_words(TimeQ::new(6, 4));
-        let mut b = ContentHasher::new();
-        b.write_time_words(TimeQ::new(3, 2));
-        assert_eq!(a.finish(), b.finish());
-        // …distinct times do not…
-        let mut c = ContentHasher::new();
-        c.write_time_words(TimeQ::new(3, 1));
-        assert_ne!(a.finish(), c.finish());
-        // …and the word family is a distinct stream from the byte family.
-        let mut w = ContentHasher::new();
-        w.write_u64_word(7);
-        let mut by = ContentHasher::new();
-        by.write_u64(7);
-        assert_ne!(w.finish(), by.finish());
     }
 
     #[test]

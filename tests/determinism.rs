@@ -2,14 +2,15 @@
 //! applications and random workloads, every execution backend — zero-delay
 //! reference (both FP linearizations), the discrete-event simulator (any
 //! processor count, any execution-time draw, with and without overhead,
-//! on either data plane, with and without the frame memo) and the
-//! multi-threaded runtime — produces identical observable value
-//! sequences for identical stimuli.
+//! on either data plane, through the oracle round loop and the default
+//! memoized one) and the multi-threaded runtime — produces identical
+//! observable value sequences for identical stimuli.
 
 use fppn::apps::{fft_network, fft_wcet, fig1_network, fig1_wcet, random_workload, WorkloadConfig};
 use fppn::core::{run_zero_delay, Fppn, JobOrdering, Observables, Stimuli};
 use fppn::runtime::{run_threaded, RuntimeConfig};
 use fppn::sched::{list_schedule, Heuristic};
+use fppn::sim::hotpath::simulate_oracle;
 use fppn::sim::{clip_stimuli, random_stimuli, simulate, ExecTimeModel, OverheadModel, SimConfig};
 use fppn::taskgraph::{derive_task_graph, DerivedTaskGraph, WcetModel};
 use fppn::time::TimeQ;
@@ -54,29 +55,26 @@ fn assert_all_backends_agree(
                 (ExecTimeModel::typical_jitter(7), OverheadModel::NONE),
                 (ExecTimeModel::Wcet, OverheadModel::constant(TimeQ::from_ms(5))),
             ] {
-                // The default (sequential store, memo off) and everything
-                // on (sharded data plane, frame memo).
-                for (behavior_workers, memo) in [(0usize, false), (2, true)] {
-                    let run = simulate(
-                        net,
-                        bank,
-                        &stimuli,
-                        &derived,
-                        &schedule,
-                        &SimConfig {
-                            frames,
-                            overhead,
-                            exec_time: exec,
-                            behavior_workers,
-                            memo,
-                        },
-                    )
+                // The oracle seam on the sequential store, and the default
+                // memoized loop on the sharded data plane.
+                for (behavior_workers, oracle) in [(0usize, true), (2, false)] {
+                    let config = SimConfig {
+                        frames,
+                        overhead,
+                        exec_time: exec,
+                        behavior_workers,
+                    };
+                    let run = if oracle {
+                        simulate_oracle(net, bank, &stimuli, &derived, &schedule, &config)
+                    } else {
+                        simulate(net, bank, &stimuli, &derived, &schedule, &config)
+                    }
                     .expect("simulate");
                     assert_eq!(
                         run.observables.diff(&reference),
                         None,
                         "{label}: sim diverged ({processors} procs, {heuristic}, {exec:?}, \
-                         {overhead:?}, behavior_workers {behavior_workers}, memo {memo})"
+                         {overhead:?}, behavior_workers {behavior_workers}, oracle {oracle})"
                     );
                 }
             }

@@ -15,10 +15,13 @@
 use std::fmt::Write as _;
 
 use fppn::apps::{fft_network, fft_wcet, fig1_network, fig1_wcet};
-use fppn::core::{run_zero_delay, Fppn, JobOrdering, Observables, SporadicTrace, Stimuli};
-use fppn::sched::{list_schedule, Heuristic};
-use fppn::sim::{adversarial_stimuli, clip_stimuli, simulate, AdversarialClass, SimConfig};
-use fppn::taskgraph::derive_task_graph;
+use fppn::core::{
+    run_zero_delay, BehaviorBank, Fppn, JobOrdering, Observables, SporadicTrace, Stimuli,
+};
+use fppn::sched::{list_schedule, Heuristic, StaticSchedule};
+use fppn::sim::hotpath::simulate_oracle;
+use fppn::sim::{adversarial_stimuli, clip_stimuli, simulate, AdversarialClass, SimConfig, SimRun};
+use fppn::taskgraph::{derive_task_graph, DerivedTaskGraph};
 use fppn::time::TimeQ;
 
 /// Renders observables into a stable, human-auditable text form:
@@ -44,14 +47,31 @@ fn render(net: &Fppn, obs: &Observables) -> String {
     out
 }
 
-/// The execution settings every simulated golden trace must reproduce
-/// under: `behavior_workers` ∈ {0, 4} × frame memo {off, on}.
-fn settings(base: SimConfig) -> [SimConfig; 4] {
-    [(0, false), (0, true), (4, false), (4, true)].map(|(behavior_workers, memo)| SimConfig {
-        behavior_workers,
-        memo,
-        ..base
-    })
+/// Runs one simulation under every execution setting a golden trace must
+/// reproduce under: `behavior_workers` ∈ {0, 4}, each through the oracle
+/// seam's plain round loop and through the default memoized one.
+fn simulate_every_setting(
+    net: &Fppn,
+    bank: &BehaviorBank,
+    stimuli: &Stimuli,
+    derived: &DerivedTaskGraph,
+    schedule: &StaticSchedule,
+    base: SimConfig,
+) -> Vec<SimRun> {
+    [0, 4]
+        .into_iter()
+        .flat_map(|behavior_workers| {
+            let config = SimConfig {
+                behavior_workers,
+                ..base
+            };
+            [
+                simulate_oracle(net, bank, stimuli, derived, schedule, &config),
+                simulate(net, bank, stimuli, derived, schedule, &config),
+            ]
+        })
+        .map(|run| run.expect("simulation"))
+        .collect()
 }
 
 fn check(label: &str, net: &Fppn, obs: &Observables, expected: &str) {
@@ -103,12 +123,11 @@ fn parallel_backend_reproduces_golden_traces() {
         let frames = 4;
         let stimuli = clip_stimuli(&net, &derived, &stimuli, frames);
         let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
-        for config in settings(SimConfig {
+        let base = SimConfig {
             frames,
             ..SimConfig::default()
-        }) {
-            let run = simulate(&net, &bank, &stimuli, &derived, &schedule, &config)
-                .expect("fig1 simulation");
+        };
+        for run in simulate_every_setting(&net, &bank, &stimuli, &derived, &schedule, base) {
             check("fig1", &net, &run.observables, include_str!("golden/fig1.txt"));
         }
     }
@@ -117,12 +136,12 @@ fn parallel_backend_reproduces_golden_traces() {
         let (net, bank, _) = fft_network();
         let derived = derive_task_graph(&net, &fft_wcet()).expect("derivable");
         let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
-        for config in settings(SimConfig {
+        let base = SimConfig {
             frames: 3,
             ..SimConfig::default()
-        }) {
-            let run = simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &config)
-                .expect("fft simulation");
+        };
+        let stimuli = Stimuli::new();
+        for run in simulate_every_setting(&net, &bank, &stimuli, &derived, &schedule, base) {
             check("fft", &net, &run.observables, include_str!("golden/fft.txt"));
         }
     }
@@ -131,8 +150,8 @@ fn parallel_backend_reproduces_golden_traces() {
 /// Adversarial-stimulus golden traces on the paper's Fig. 1 network: the
 /// observable sequences under a boundary-aligned burst, a maximal-density
 /// flood and an arrival-tie storm (seed-pinned) are snapshot-pinned, and
-/// every execution setting — sequential store or sharded data plane, frame
-/// memo off or on — must reproduce them exactly. This extends the
+/// every execution setting — sequential store or sharded data plane, oracle
+/// seam or default memoized loop — must reproduce them exactly. This extends the
 /// uniform-stimulus snapshots above to the stimuli that actually sit on
 /// the server-window edge cases.
 #[test]
@@ -159,12 +178,11 @@ fn adversarial_traces_are_pinned_across_backends() {
         let stimuli = clip_stimuli(&net, &derived, &stimuli, frames);
         let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
         let label = format!("fig1_{}", class.name());
-        for config in settings(SimConfig {
+        let base = SimConfig {
             frames,
             ..SimConfig::default()
-        }) {
-            let run = simulate(&net, &bank, &stimuli, &derived, &schedule, &config)
-                .expect("adversarial simulation");
+        };
+        for run in simulate_every_setting(&net, &bank, &stimuli, &derived, &schedule, base) {
             check(&label, &net, &run.observables, expected);
         }
     }
