@@ -1,6 +1,6 @@
 //! Perf-trajectory gate: diffs two `BENCH_sim.json` files (the committed
 //! baseline vs a fresh `scalability --bench-json` run) and fails on
-//! regressions beyond the criterion-shim noise band.
+//! regressions beyond a noise band.
 //!
 //! ```sh
 //! bench_diff BASELINE.json NEW.json [--max-regress-pct 25] [--noise-floor-ms 20] \
@@ -39,14 +39,16 @@
 //! The parser handles exactly the shape `scalability` emits (hand-rolled
 //! writer, one bench object per line) plus arbitrary whitespace; there is
 //! no serde in the offline container. Schemas `fppn-bench-sim/2` through
-//! `/6` all parse: `/3` added `rounds_per_sec`, `/4` adds the serve
+//! `/7` all parse: `/3` added `rounds_per_sec`, `/4` adds the serve
 //! control-plane records (`serve_runs_per_sec`, cache hit/miss counts and
 //! the compile/lookup/run timings), `/5` adds `memo_ms` — the memoized
 //! sequential run, gated like every other `_ms` column so a frame-memo
 //! slowdown fails the diff — plus the informational `memo_hits`/
 //! `memo_misses` frame-memo counters and the serve `run_cache_hits`
-//! cross-run result-cache counter, and `/6` drops `par_ms` and
-//! `pipeline_ms` (the modes they timed are gone). Only `*_ms` metrics are
+//! cross-run result-cache counter, `/6` drops `par_ms` and
+//! `pipeline_ms` (the modes they timed are gone), and `/7` drops the
+//! `serve` array (never gated; perfbench's `serve-mix` times whole
+//! requests through the server instead). Only `*_ms` metrics are
 //! **gated**; everything else numeric on a bench line is reported as
 //! **informational** — throughput is the inverse of the exempt `seq_ms`
 //! reference and just as host-dependent, and the cache counters describe
@@ -151,6 +153,11 @@ fn ms_fields(line: &str) -> Metrics {
 /// Parses a `BENCH_sim.json` into bench-name → metrics.
 fn parse(path: &str) -> Result<BTreeMap<String, Bench>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_text(&text, path)
+}
+
+/// Parses the text of a `BENCH_sim.json`; `path` only labels errors.
+fn parse_text(text: &str, path: &str) -> Result<BTreeMap<String, Bench>, String> {
     let mut benches = BTreeMap::new();
     for line in text.lines() {
         let Some(name) = string_field(line, "name") else {
@@ -383,6 +390,24 @@ mod tests {
         assert_eq!(ms.len(), 2);
         assert_eq!(ms.get("sharded_ms"), Some(&57.2));
         assert!(!ms.contains_key("par_ms") && !ms.contains_key("pipeline_ms"));
+    }
+
+    #[test]
+    fn schema_7_baseline_has_no_serve_array_and_keeps_every_gated_row() {
+        let text = include_str!("../../../../BENCH_sim.json");
+        assert!(text.contains("\"schema\": \"fppn-bench-sim/7\""));
+        assert!(!text.contains("\"serve\""), "schema 7 has no serve array");
+        let benches = parse_text(text, "BENCH_sim.json").unwrap();
+        assert_eq!(benches.len(), 12);
+        for (name, bench) in &benches {
+            let gated: Vec<&str> = bench.metrics.keys().map(String::as_str).collect();
+            if name.starts_with("fms") {
+                assert_eq!(gated, ["memo_ms", "seq_ms"], "{name}");
+            } else {
+                assert!(name.starts_with("behavior-heavy/"), "{name}");
+                assert_eq!(gated, ["seq_ms", "sharded_ms"], "{name}");
+            }
+        }
     }
 
     #[test]

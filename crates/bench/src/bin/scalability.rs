@@ -4,7 +4,11 @@
 //! sweeps the MagnDeclin period and random multirate networks, measures the
 //! event-driven scheduler against the retained naive reference on the FMS
 //! graph, and pushes synthetic layered DAGs to 100k jobs across every
-//! heuristic.
+//! heuristic. Its simulation sweeps time the oracle seam against the
+//! default memoized run on FMS, and the sequential store against the
+//! sharded data plane on behavior-heavy synthetic networks, checking
+//! bit-identity on every run; their medians go to `BENCH_sim.json`, the
+//! file CI's `bench_diff` gate compares with the committed baseline.
 //!
 //! Flags (all optional):
 //!
@@ -14,8 +18,8 @@
 //!   exceeds `MS` milliseconds (default 0 = unlimited). An accidental
 //!   O(n²) regression blows straight through any sane budget.
 //! * `--workers N` — threads for the sharded data plane in the
-//!   behavior sweep (`SimConfig::behavior_workers`) and the serve pool size
-//!   (default 4; `0` skips the simulation sweeps entirely),
+//!   behavior sweep (`SimConfig::behavior_workers`; default 4, `0` skips
+//!   the simulation sweeps entirely),
 //! * `--sim-frames N` — schedule frames per simulation measurement
 //!   (default 8; the ~100k-round tier scales this ×4),
 //! * `--bench-reps N` — repetitions per simulation measurement; the
@@ -24,71 +28,18 @@
 //! * `--bench-json PATH` — where to write the machine-readable simulation
 //!   measurements (default `BENCH_sim.json`; CI diffs this against the
 //!   committed baseline with `bench_diff --relative-to seq_ms`).
-//!
-//! With `FPPN_ALLOC_STATS=1` and the `alloc-stats` feature, the bin also
-//! reports heap-allocation counts for the steady-state round loop (the
-//! zero-alloc claim of the SoA round engine), via a counting global
-//! allocator — kept off by default so normal runs measure the real one.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fppn_apps::{
-    fft_network, fft_wcet, fms_network, fms_sporadics, fms_wcet, random_workload,
-    synthetic_fppn, synthetic_task_graph, FmsVariant, SyntheticFppnConfig,
-    SyntheticGraphConfig, WorkloadConfig,
+    fms_network, fms_sporadics, fms_wcet, random_workload, synthetic_fppn, synthetic_task_graph,
+    FmsVariant, SyntheticFppnConfig, SyntheticGraphConfig, WorkloadConfig,
 };
 use fppn_sched::{list_schedule, list_schedule_naive, Heuristic};
-use fppn_serve::{RunRequest, Server};
 use fppn_sim::hotpath::simulate_oracle;
-use fppn_sim::{
-    clip_stimuli, simulate, tiled_sporadic_trace, CompileConfig, CompiledNetwork, SimConfig,
-};
+use fppn_sim::{clip_stimuli, simulate, tiled_sporadic_trace, SimConfig};
 use fppn_taskgraph::derive_task_graph;
-
-#[cfg(feature = "alloc-stats")]
-#[global_allocator]
-static ALLOC: fppn_bench::alloc_stats::CountingAlloc = fppn_bench::alloc_stats::CountingAlloc;
-
-/// `FPPN_ALLOC_STATS=1`: count heap traffic of the steady-state round loop
-/// on the FMS workload. After one warm-up compute the SoA `RoundEngine`
-/// reuses its scratch buffers, so the per-iteration delta should be zero —
-/// the same invariant the `alloc_zero` regression test pins.
-#[cfg(feature = "alloc-stats")]
-fn alloc_stats_report(frames: u64) {
-    use fppn_bench::alloc_stats::{allocations, bytes_allocated};
-    let (net, _, ids) = fms_network(FmsVariant::Original);
-    let derived = derive_task_graph(&net, &fms_wcet(&ids)).expect("derivable");
-    let schedule = list_schedule(&derived.graph, 4, Heuristic::AlapEdf);
-    let tables = fppn_sim::StaticTables::build(&net, &derived, &schedule);
-    let stimuli = fppn_core::Stimuli::new();
-    let cfg = SimConfig {
-        frames,
-        ..SimConfig::default()
-    };
-    let mut rounds = fppn_sim::hotpath::SeqRounds::new(&net, &stimuli, &derived, &tables, &cfg)
-        .expect("round tables");
-    let n = rounds.compute().expect("warm-up compute");
-    let (a0, b0) = (allocations(), bytes_allocated());
-    let iters = 10;
-    for _ in 0..iters {
-        rounds.compute().expect("steady-state compute");
-    }
-    let (da, db) = (allocations() - a0, bytes_allocated() - b0);
-    println!(
-        "\nalloc stats (FMS frames={frames}, {n} rounds/iter, {iters} steady-state iters): \
-         {da} allocations, {db} bytes — expected 0/0"
-    );
-}
-
-#[cfg(not(feature = "alloc-stats"))]
-fn alloc_stats_report(_frames: u64) {
-    println!(
-        "\nFPPN_ALLOC_STATS=1 set, but the counting allocator is compiled out; \
-         rebuild with `--features alloc-stats` to measure heap traffic"
-    );
-}
 
 /// One simulation measurement destined for `BENCH_sim.json`.
 struct BenchRecord {
@@ -109,23 +60,6 @@ struct BenchRecord {
     memo_misses: u64,
 }
 
-/// One serve control-plane measurement (schema 4): repeated runs through
-/// the worker pool over one cached artifact. All metrics are
-/// informational in `bench_diff` — none carry the gated `_ms` suffix.
-struct ServeRecord {
-    name: String,
-    runs: usize,
-    workers: usize,
-    runs_per_sec: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-    run_cache_hits: u64,
-    compile: Duration,
-    hit_lookup: Duration,
-    cold_run: Duration,
-    hit_run: Duration,
-}
-
 /// Hand-rolled JSON (no serde in the offline container): a stable shape
 /// `bench_diff` parses to track the perf trajectory across commits
 /// (schema `fppn-bench-sim/2` added `pipeline_ms`; `/3` added
@@ -136,14 +70,14 @@ struct ServeRecord {
 /// `memo_hits`/`memo_misses` frame-memo counters and the serve
 /// `run_cache_hits` cross-run result-cache counter; `/6` drops `par_ms`
 /// and `pipeline_ms` with the parallel round plane and the streaming
-/// pipeline they measured).
-fn write_bench_json(path: &str, records: &[BenchRecord], serve: &[ServeRecord]) {
+/// pipeline they measured; `/7` drops the ungated `serve` array, whose
+/// requests perfbench's `serve-mix` measures end to end).
+fn write_bench_json(path: &str, records: &[BenchRecord]) {
     let opt_ms = |d: Option<Duration>| {
         d.map_or("null".to_owned(), |d| format!("{:.6}", d.as_secs_f64() * 1e3))
     };
-    let us = |d: Duration| d.as_secs_f64() * 1e6;
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"fppn-bench-sim/6\",");
+    let _ = writeln!(out, "  \"schema\": \"fppn-bench-sim/7\",");
     let _ = writeln!(
         out,
         "  \"host_cpus\": {},",
@@ -169,44 +103,19 @@ fn write_bench_json(path: &str, records: &[BenchRecord], serve: &[ServeRecord]) 
         );
         out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
     }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"serve\": [");
-    for (i, r) in serve.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"runs\": {}, \"workers\": {}, \
-             \"serve_runs_per_sec\": {:.1}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"run_cache_hits\": {}, \
-             \"compile_us\": {:.1}, \"hit_lookup_us\": {:.1}, \"cold_run_us\": {:.1}, \
-             \"hit_run_us\": {:.1}}}",
-            r.name,
-            r.runs,
-            r.workers,
-            r.runs_per_sec,
-            r.cache_hits,
-            r.cache_misses,
-            r.run_cache_hits,
-            us(r.compile),
-            us(r.hit_lookup),
-            us(r.cold_run),
-            us(r.hit_run),
-        );
-        out.push_str(if i + 1 < serve.len() { ",\n" } else { "\n" });
-    }
     out.push_str("  ]\n}\n");
     match std::fs::write(path, &out) {
         Ok(()) => println!(
-            "\nwrote {} simulation + {} serve measurements to {path}",
-            records.len(),
-            serve.len()
+            "\nwrote {} simulation measurements to {path}",
+            records.len()
         ),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }
 
 /// Runs `f` `reps` times and returns the last result with the **median**
-/// wall time — the same outlier defense as the criterion shim, so the
-/// `bench_diff` gate compares stable numbers instead of single draws.
+/// wall time, so the `bench_diff` gate compares stable numbers instead of
+/// single draws.
 fn median_timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
     let mut times = Vec::with_capacity(reps);
     let mut last = None;
@@ -473,106 +382,6 @@ fn behavior_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<Be
     }
 }
 
-/// The compile-once/run-many measurement: repeated runs through the
-/// `fppn-serve` pool over one cached artifact, against the FMS and FFT
-/// applications. The compile/hit-lookup/cold-run/hit-run timing split is
-/// the point — a cache hit must skip the compile phase entirely (the
-/// `compile_us` vs `hit_lookup_us` delta), and a run against the cached
-/// artifact must cost run-phase work only (`cold_run_us` vs `hit_run_us`).
-fn serve_sweep(workers: usize, reps: usize, records: &mut Vec<ServeRecord>) {
-    println!("\nserve control plane (pool of {workers}, repeated runs over one cached artifact):");
-    let (fms_net, fms_bank, fms_ids) = fms_network(FmsVariant::Original);
-    let (fft_net, fft_bank, _) = fft_network();
-    for (label, net, bank, ccfg, frames) in [
-        (
-            "serve/fms",
-            fms_net,
-            fms_bank,
-            CompileConfig::new(fms_wcet(&fms_ids), 2),
-            4u64,
-        ),
-        ("serve/fft", fft_net, fft_bank, CompileConfig::new(fft_wcet(), 2), 8),
-    ] {
-        let bank = Arc::new(bank);
-        // Run cache on: the pool throughput batch below submits identical
-        // requests, so all but the first resolve from the cross-run result
-        // cache — the `run_cache_hits` column records exactly that.
-        let server = Server::with_config(&fppn_serve::ServerConfig {
-            workers,
-            run_cache_entries: Some(64),
-            ..fppn_serve::ServerConfig::default()
-        });
-        server.register_tenant("bench", 1_000_000);
-
-        // The one compile (a cache miss), then pure-lookup hits.
-        let (_, t_compile) =
-            median_timed(reps, || CompiledNetwork::compile(net.clone(), &ccfg).expect("compiles"));
-        let (artifact, t_hit_lookup) = median_timed(reps.max(3), || {
-            server.cache().get_or_compile(&net, &ccfg).expect("compiles")
-        });
-        let cfg = SimConfig {
-            frames,
-            ..SimConfig::default()
-        };
-        // Cold run = compile + run; hit run = run against the artifact.
-        let (_, t_cold_run) = median_timed(reps, || {
-            CompiledNetwork::compile(net.clone(), &ccfg)
-                .expect("compiles")
-                .simulate(&bank, &fppn_core::Stimuli::new(), &cfg)
-                .expect("cold run")
-        });
-        let (_, t_hit_run) = median_timed(reps, || {
-            artifact
-                .simulate(&bank, &fppn_core::Stimuli::new(), &cfg)
-                .expect("hit run")
-        });
-
-        // Pool throughput: queue a batch, wait for all tickets.
-        let runs = 8 * reps.max(2);
-        let t0 = Instant::now();
-        let tickets: Vec<_> = (0..runs)
-            .map(|_| {
-                let artifact = server.cache().get_or_compile(&net, &ccfg).expect("cache hit");
-                server
-                    .submit(
-                        "bench",
-                        RunRequest::new(
-                            artifact,
-                            Arc::clone(&bank),
-                            fppn_core::Stimuli::new(),
-                            cfg,
-                        ),
-                    )
-                    .expect("within budget")
-            })
-            .collect();
-        for t in tickets {
-            t.wait().expect("pool run");
-        }
-        let wall = t0.elapsed();
-        let runs_per_sec = runs as f64 / wall.as_secs_f64().max(1e-9);
-        let run_cache_hits = server.run_cache().map_or(0, |c| c.hits());
-        println!(
-            "{label:<22} {runs:>3} runs | {runs_per_sec:>8.1} runs/s | compile {t_compile:>9.2?} vs hit lookup {t_hit_lookup:>9.2?} | cold run {t_cold_run:>9.2?} vs hit run {t_hit_run:>9.2?} | cache {}h/{}m | run-cache {run_cache_hits}h",
-            server.cache().hits(),
-            server.cache().misses(),
-        );
-        records.push(ServeRecord {
-            name: label.to_owned(),
-            runs,
-            workers,
-            runs_per_sec,
-            cache_hits: server.cache().hits(),
-            cache_misses: server.cache().misses(),
-            run_cache_hits,
-            compile: t_compile,
-            hit_lookup: t_hit_lookup,
-            cold_run: t_cold_run,
-            hit_run: t_hit_run,
-        });
-    }
-}
-
 fn synthetic_sweep(max_jobs: usize) {
     println!("\nsynthetic layered DAGs (jobs x shape x heuristic, 4 processors):");
     for &jobs in &[1_000usize, 10_000, 100_000] {
@@ -668,17 +477,11 @@ fn main() {
     synthetic_sweep(synthetic_jobs);
 
     let mut records = Vec::new();
-    let mut serve_records = Vec::new();
     if workers > 0 {
         simulation_sweep(workers, sim_frames, bench_reps, &mut records);
         behavior_sweep(workers, sim_frames.min(4), bench_reps, &mut records);
-        serve_sweep(workers, bench_reps, &mut serve_records);
     }
-    write_bench_json(&bench_json, &records, &serve_records);
-
-    if std::env::var("FPPN_ALLOC_STATS").is_ok_and(|v| v == "1") {
-        alloc_stats_report(sim_frames);
-    }
+    write_bench_json(&bench_json, &records);
 
     let elapsed = wall.elapsed();
     println!("\ntotal wall time: {elapsed:.2?}");

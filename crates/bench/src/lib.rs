@@ -2,9 +2,10 @@
 //!
 //! Each binary under `src/bin/` prints the rows/series of one figure or
 //! reported number of the DATE'15 paper (run them with
-//! `cargo run -p fppn-bench --bin <name>`); the Criterion benches under
-//! `benches/` measure the tool-chain itself (derivation, scheduling,
-//! simulation, analysis) plus ablations over the `SP` heuristics.
+//! `cargo run -p fppn-bench --bin <name>`). `scalability` also writes
+//! `BENCH_sim.json`, the simulation timings that `bench_diff` gates in CI
+//! against the committed baseline; the zero-alloc gates live under
+//! `tests/`.
 //!
 //! | target | reproduces |
 //! |---|---|
@@ -17,12 +18,7 @@
 //! | `scalability` | the §V-B hyperperiod-reduction motivation |
 //! | `paper_report` | every row above, in paper-vs-measured form |
 
-// `unsafe_code` is denied (not forbidden) via Cargo.toml so the one
-// `GlobalAlloc` impl in `alloc_stats` can carve out a scoped `#[allow]`.
 #![warn(missing_docs)]
-
-#[cfg(feature = "alloc-stats")]
-pub mod alloc_stats;
 
 use fppn_core::Fppn;
 use fppn_sched::StaticSchedule;

@@ -10,9 +10,8 @@
 //! This module splits the store along process boundaries:
 //!
 //! * each [`ProcessShard`] owns its process's job counter, external-output
-//!   log, trace fragment, the full [`ChannelState`] of every **self-loop**
-//!   channel of the process, and a private staging buffer for the channels
-//!   it writes;
+//!   log, the full [`ChannelState`] of every **self-loop** channel of the
+//!   process, and a private staging buffer for the channels it writes;
 //! * each cross-process channel lives in the [`SharedChannels`] table as an
 //!   append-only write log, segmented by writer job: the writer commits its
 //!   staged writes at job end and records the cumulative write count, so a
@@ -44,7 +43,7 @@ use crate::exec::Stimuli;
 use crate::ids::{ChannelId, PortId, ProcessId};
 use crate::network::Fppn;
 use crate::process::{BoxedBehavior, DataAccess, JobCtx};
-use crate::trace::{Action, JobRun, Observables, Trace};
+use crate::trace::Observables;
 use crate::value::Value;
 
 /// Append-only write log of one cross-process channel, segmented by
@@ -184,8 +183,6 @@ pub struct ProcessShard<'n> {
     outputs: BTreeMap<(ProcessId, PortId), Vec<(u64, Value)>>,
     executed: u64,
     current_k: u64,
-    trace: Option<Vec<JobRun>>,
-    current_actions: Vec<Action>,
 }
 
 impl<'n> ProcessShard<'n> {
@@ -231,17 +228,7 @@ impl<'n> ProcessShard<'n> {
             outputs: BTreeMap::new(),
             executed: 0,
             current_k: 0,
-            trace: None,
-            current_actions: Vec::new(),
         }
-    }
-
-    /// Enables trace recording on this shard (mirrors
-    /// [`ExecState::record_trace`](crate::ExecState::record_trace)).
-    #[must_use]
-    pub fn record_trace(mut self) -> Self {
-        self.trace = Some(Vec::new());
-        self
     }
 
     /// The process this shard owns.
@@ -279,14 +266,13 @@ impl<'n> ProcessShard<'n> {
             entry.visible_jobs = v;
         }
         self.current_k = k;
-        self.current_actions.clear();
     }
 
     /// Commits the current job: staged cross-process writes are appended to
     /// the shared logs (one `job_end` mark per written channel), and the
     /// job counter advances. After this returns — and only after — the
     /// executor may publish this shard's progress to readers.
-    fn commit_job(&mut self, invoked_at: TimeQ) {
+    fn commit_job(&mut self) {
         for (ch, staged) in self.writes.iter_mut() {
             let mut log = self
                 .shared
@@ -298,14 +284,6 @@ impl<'n> ProcessShard<'n> {
             log.job_end.push(end);
         }
         self.executed = self.current_k;
-        if let Some(trace) = &mut self.trace {
-            trace.push(JobRun {
-                process: self.pid,
-                k: self.current_k,
-                invoked_at,
-                actions: std::mem::take(&mut self.current_actions),
-            });
-        }
     }
 
     /// Runs job `p[k]` at timestamp `now`, with `visible_jobs[i]` committed
@@ -339,7 +317,7 @@ impl<'n> ProcessShard<'n> {
             let mut ctx = JobCtx::new(self, pid, k, now);
             behavior.on_job(&mut ctx)
         };
-        self.commit_job(now);
+        self.commit_job();
         result
     }
 
@@ -358,7 +336,7 @@ impl DataAccess for ProcessShard<'_> {
             spec.name(),
             self.net.process(spec.reader()).name()
         );
-        let v = match self.role(ch) {
+        match self.role(ch) {
             Some(ChannelRole::Local(i)) => self.local[i].1.read(),
             Some(ChannelRole::ReadShared(i)) => {
                 let entry = &mut self.reads[i];
@@ -394,14 +372,7 @@ impl DataAccess for ProcessShard<'_> {
                 }
             }
             _ => unreachable!("reader role exists for every read endpoint"),
-        };
-        if self.trace.is_some() {
-            self.current_actions.push(Action::Read {
-                channel: ch,
-                value: v.clone(),
-            });
         }
-        v
     }
 
     fn write_channel(&mut self, pid: ProcessId, ch: ChannelId, value: Value) {
@@ -413,12 +384,6 @@ impl DataAccess for ProcessShard<'_> {
             spec.name(),
             self.net.process(spec.writer()).name()
         );
-        if self.trace.is_some() {
-            self.current_actions.push(Action::Write {
-                channel: ch,
-                value: value.clone(),
-            });
-        }
         match self.role(ch) {
             Some(ChannelRole::Local(i)) => {
                 let (_, state, local_log) = &mut self.local[i];
@@ -436,15 +401,7 @@ impl DataAccess for ProcessShard<'_> {
             "process {} read from undeclared input {port}",
             self.net.process(pid).name()
         );
-        let v = self.stimuli.input_sample_ref(pid, port, k).cloned();
-        if self.trace.is_some() {
-            self.current_actions.push(Action::ReadInput {
-                port,
-                k,
-                value: v.clone(),
-            });
-        }
-        v
+        self.stimuli.input_sample_ref(pid, port, k).cloned()
     }
 
     fn write_external(&mut self, pid: ProcessId, port: PortId, k: u64, value: Value) {
@@ -453,20 +410,13 @@ impl DataAccess for ProcessShard<'_> {
             "process {} wrote to undeclared output {port}",
             self.net.process(pid).name()
         );
-        if self.trace.is_some() {
-            self.current_actions.push(Action::WriteOutput {
-                port,
-                k,
-                value: value.clone(),
-            });
-        }
         self.outputs.entry((pid, port)).or_default().push((k, value));
     }
 }
 
 /// Coordinator for one sharded execution: builds the shard set and merges
-/// the shard-local results back into the canonical [`Observables`] /
-/// [`Trace`] shape the sequential executor produces.
+/// the shard-local results back into the canonical [`Observables`] shape
+/// the sequential executor produces.
 pub struct ShardedExec<'n> {
     net: &'n Fppn,
     shared: SharedChannels,
@@ -491,20 +441,12 @@ impl<'n> ShardedExec<'n> {
             .collect()
     }
 
-    /// Merges the shards back into sequential-shaped observables, plus the
-    /// merged [`Trace`] when `canonical` is given and the shards recorded
-    /// traces. `canonical` is the executed-job process sequence in
-    /// canonical order; shard trace fragments are interleaved along it.
+    /// Merges the shards back into sequential-shaped observables.
     ///
     /// # Panics
     ///
-    /// Panics if a shard is missing or duplicated, or if `canonical`
-    /// disagrees with the shards' executed-job counts.
-    pub fn merge(
-        &self,
-        shards: Vec<ProcessShard<'_>>,
-        canonical: Option<&[ProcessId]>,
-    ) -> (Observables, Option<Trace>) {
+    /// Panics if a shard is missing or duplicated.
+    pub fn merge(&self, shards: Vec<ProcessShard<'_>>) -> Observables {
         let n = self.net.process_count();
         assert_eq!(shards.len(), n, "one shard per process required");
         let mut by_pid: Vec<Option<ProcessShard<'_>>> = (0..n).map(|_| None).collect();
@@ -536,37 +478,10 @@ impl<'n> ShardedExec<'n> {
             outputs.append(&mut shard.outputs);
         }
 
-        // Trace: interleave per-shard fragments along the canonical order.
-        let trace = canonical.and_then(|order| {
-            let mut fragments: Vec<Option<std::vec::IntoIter<JobRun>>> = shards
-                .iter_mut()
-                .map(|s| s.trace.take().map(|t| t.into_iter()))
-                .collect();
-            if fragments.iter().any(Option::is_none) {
-                return None;
-            }
-            let mut merged = Trace::new();
-            for &pid in order {
-                let run = fragments[pid.index()]
-                    .as_mut()
-                    .and_then(Iterator::next)
-                    .expect("canonical order exceeds a shard's executed jobs");
-                merged.push(run);
-            }
-            assert!(
-                fragments.iter_mut().all(|f| f.as_mut().unwrap().next().is_none()),
-                "canonical order missing executed jobs"
-            );
-            Some(merged)
-        });
-
-        (
-            Observables {
-                channels,
-                outputs: outputs.into_iter().collect(),
-            },
-            trace,
-        )
+        Observables {
+            channels,
+            outputs: outputs.into_iter().collect(),
+        }
     }
 }
 
@@ -642,7 +557,7 @@ mod tests {
 
         let mut behaviors = bank.instantiate();
         let stimuli = Stimuli::new();
-        let mut seq = ExecState::new(&net, &stimuli).record_trace();
+        let mut seq = ExecState::new(&net, &stimuli);
         for (i, &pid) in order.iter().enumerate() {
             seq.run_next_job(&mut behaviors, pid, ms(i as i64))
                 .unwrap_or_else(|e| panic!("sequential job {i} ({:?}) failed: {e}", pid));
@@ -650,11 +565,7 @@ mod tests {
 
         let stimuli = Stimuli::new();
         let exec = ShardedExec::new(&net);
-        let mut shards: Vec<ProcessShard<'_>> = exec
-            .shards(&stimuli)
-            .into_iter()
-            .map(ProcessShard::record_trace)
-            .collect();
+        let mut shards = exec.shards(&stimuli);
         let mut behaviors = bank.instantiate();
         let mut executed = vec![0u64; net.process_count()];
         for (i, &pid) in order.iter().enumerate() {
@@ -670,10 +581,9 @@ mod tests {
                 .run_job(&mut behaviors[pid.index()], k, ms(i as i64), &visible)
                 .unwrap();
         }
-        let (obs, trace) = exec.merge(shards, Some(&order));
+        let obs = exec.merge(shards);
         assert_eq!(seq.observables().diff(&obs), None);
         assert_eq!(seq.observables(), obs);
-        assert_eq!(seq.trace(), trace.as_ref());
     }
 
     /// A reader whose writer raced ahead must still see only its visible
@@ -699,7 +609,7 @@ mod tests {
         shards[mid.index()]
             .run_job(&mut behaviors[mid.index()], 1, ms(0), &[1])
             .unwrap();
-        let (obs, _) = exec.merge(shards, None);
+        let obs = exec.merge(shards);
         let c2 = net.channel_by_name("c2").unwrap();
         assert_eq!(obs.channels[c2.index()], vec![Value::Int(100)]);
     }

@@ -880,6 +880,36 @@ mod tests {
     }
 
     #[test]
+    fn unholdable_frame_count_is_a_typed_sim_error_not_an_abort() {
+        // 2^60 frames of the one job: its round slabs exceed `isize::MAX`
+        // bytes, so bind refuses them without asking the allocator.
+        let (server, artifact, bank) = one_process_server();
+        server.register_tenant("t", 2);
+        let huge = SimConfig {
+            frames: 1 << 60,
+            ..SimConfig::default()
+        };
+        let req = RunRequest::new(
+            Arc::clone(&artifact),
+            Arc::clone(&bank),
+            Stimuli::new(),
+            huge,
+        );
+        let outcome = server.submit("t", req).unwrap().wait();
+        assert!(
+            matches!(outcome, Err(RunError::Sim(SimError::InvalidConfig(_)))),
+            "got {:?}",
+            outcome.map(|r| r.deadline_misses)
+        );
+        let stats = server.tenant_stats("t").unwrap();
+        assert_eq!(stats.panicked, 0, "a config error is not a behavior panic");
+        assert_eq!(server.workers_alive(), 1);
+        // The worker keeps serving.
+        let req = RunRequest::new(artifact, bank, Stimuli::new(), SimConfig::default());
+        server.submit("t", req).unwrap().wait().unwrap();
+    }
+
+    #[test]
     fn reregistration_updates_in_place() {
         let (server, artifact, bank) = one_process_server();
         server.register_tenant("t", 1);

@@ -14,12 +14,10 @@
 //! * backpressure ([`AdmissionError::QueueFull`]), shedding
 //!   ([`RunError::Shed`]) and bounded retry behave as specified.
 //!
-//! Pool sizes come from `FPPN_SERVE_POOL` (comma-separated) when set, so
-//! CI can sweep 1/2/4 in separate jobs; default is all three. The tentpole
-//! sweep also crosses every pool size with both data planes
-//! (`behavior_workers` 0 and 2) and with the run cache off and on, so the
-//! containment contract is checked on the threaded plane and through the
-//! cache, not just on the sequential store.
+//! The tentpole sweep crosses the pool sizes 1, 2 and 4 with both data
+//! planes (`behavior_workers` 0 and 2) and with the run cache off and on,
+//! so the containment contract is checked on the threaded plane and
+//! through the cache, not just on the sequential store.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
@@ -126,15 +124,9 @@ const BEHAVIOR_WORKERS: [usize; 2] = [0, 2];
 /// clean result. Hits must never mask an injected fault.
 const RUN_CACHE_ENTRIES: [Option<usize>; 2] = [Some(0), Some(64)];
 
-fn pool_sizes() -> Vec<usize> {
-    match std::env::var("FPPN_SERVE_POOL") {
-        Ok(s) => s
-            .split(',')
-            .map(|p| p.trim().parse().expect("FPPN_SERVE_POOL is sizes"))
-            .collect(),
-        Err(_) => vec![1, 2, 4],
-    }
-}
+/// Worker-pool sizes of the sweep: one worker, and pools that run faulted
+/// and clean runs side by side.
+const POOL_SIZES: [usize; 3] = [1, 2, 4];
 
 /// Suppress the default "thread panicked" stderr noise for *injected*
 /// panics only; real panics still print. Installed once per test binary.
@@ -190,7 +182,7 @@ fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
     let clean_bank = Arc::new(clean_bank);
     let panic_bank = Arc::new(panic_bank);
 
-    let sweep = pool_sizes().into_iter().flat_map(|pool| {
+    let sweep = POOL_SIZES.into_iter().flat_map(|pool| {
         BEHAVIOR_WORKERS.into_iter().flat_map(move |behavior_workers| {
             RUN_CACHE_ENTRIES
                 .into_iter()

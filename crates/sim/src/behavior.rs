@@ -461,8 +461,7 @@ pub(crate) fn run_behaviors_sharded(
             tl.shard
         })
         .collect();
-    let (observables, _) = exec.merge(shards, None);
-    Ok(observables)
+    Ok(exec.merge(shards))
 }
 
 #[cfg(test)]

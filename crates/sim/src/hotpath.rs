@@ -3,13 +3,13 @@
 //!
 //! The `RoundEngine` and its scratch buffers are crate-private; this module
 //! re-exposes exactly the "build once, recompute rounds into reused
-//! buffers" loop so `fppn-bench` can (a) assert the steady-state round
-//! loop performs zero heap allocations (the `alloc_zero` regression test)
-//! and (b) report allocation counts from the scalability bin under
-//! `FPPN_ALLOC_STATS=1`; the request-level benchmark (`perfbench/`) also
-//! times the round layer alone through it. The round loop behind it is the
-//! same one every run uses, frame memo included, whatever the data plane,
-//! so the seam measures the real thing.
+//! buffers" loop so `fppn-bench` can assert the steady-state round loop
+//! performs zero heap allocations (the `alloc_zero` regression test) and
+//! report the frame memo's hits and misses from the scalability bin; the
+//! request-level benchmark (`perfbench/`) also times the round layer alone
+//! through it. The round loop behind it is the same one every run uses,
+//! frame memo included, whatever the data plane, so the seam measures the
+//! real thing.
 //!
 //! [`simulate_oracle`] is the other seam: the whole run through the plain
 //! free-interleave round loop, which never replays a frame. It is the

@@ -267,6 +267,20 @@ impl RoundScratch {
         Self::default()
     }
 
+    /// Empties the buffers for a compute of `total` rounds on `m_procs`
+    /// processors: the completion table all `None`, every processor free
+    /// at zero, and room for `total` records. Allocation-free once the
+    /// buffers have grown to that shape.
+    fn reset(&mut self, total: usize, m_procs: usize) -> Result<(), SimError> {
+        self.completion.clear();
+        try_reserve(&mut self.completion, total)?;
+        self.completion.resize(total, None);
+        self.proc_avail.clear();
+        self.proc_avail.resize(m_procs, TimeQ::ZERO);
+        self.records.clear();
+        try_reserve(&mut self.records, total)
+    }
+
     /// Cumulative frame-memo `(hits, misses)` over every compute into this
     /// scratch. Both stay zero when the memo never engages: a non-`Wcet`
     /// execution-time model, or the oracle loop.
@@ -408,6 +422,16 @@ impl FrameMemo {
     }
 }
 
+/// Reserves room for `len` more entries of a buffer sized by the run's
+/// round count. A count the host cannot hold is
+/// [`SimError::InvalidConfig`]: an unchecked reservation would abort the
+/// whole process, which no `catch_unwind` around a run can contain, or
+/// panic on capacity overflow.
+fn try_reserve<T>(buf: &mut Vec<T>, len: usize) -> Result<(), SimError> {
+    buf.try_reserve_exact(len)
+        .map_err(|e| SimError::InvalidConfig(format!("{len} round-table entries: {e}")))
+}
+
 /// The frame-repeated policy table plus everything the round loop needs:
 /// static per-processor orders, wrap-around predecessors, per-instance
 /// slot resolutions, pre-drawn execution times and per-frame release
@@ -470,12 +494,25 @@ impl<'a> RoundEngine<'a> {
         let m_procs = tables.processors();
         debug_assert_eq!(tables.templates.job_count(), n_jobs);
 
+        // Every slab is reserved before any is filled, so a frame count the
+        // host cannot hold fails here, before any per-slot work.
+        let overflow =
+            || SimError::InvalidConfig(format!("{frames} frames of {n_jobs} jobs overflow usize"));
+        let frame_count = usize::try_from(frames).map_err(|_| overflow())?;
+        let total = frame_count.checked_mul(n_jobs).ok_or_else(overflow)?;
+        let mut slot_invoked = Vec::new();
+        let mut slot_deadline = Vec::new();
+        let mut slot_executable = Vec::new();
+        let mut exec_times = Vec::new();
+        let mut frame_gates = Vec::new();
+        try_reserve(&mut slot_invoked, total)?;
+        try_reserve(&mut slot_deadline, total)?;
+        try_reserve(&mut slot_executable, total)?;
+        try_reserve(&mut exec_times, total)?;
+        try_reserve(&mut frame_gates, frame_count)?;
+
         // Per-instance slot resolution, streamed straight into SoA slabs
         // in canonical (frame, job-id) order.
-        let total = frames as usize * n_jobs;
-        let mut slot_invoked = Vec::with_capacity(total);
-        let mut slot_deadline = Vec::with_capacity(total);
-        let mut slot_executable = Vec::with_capacity(total);
         tables.templates.for_each_slot(stimuli, frames, |res| {
             slot_invoked.push(res.invoked_at);
             slot_deadline.push(res.deadline);
@@ -485,14 +522,13 @@ impl<'a> RoundEngine<'a> {
         // Pre-drawn execution times in canonical (frame, job-id) order, so
         // the random draws do not depend on simulation internals.
         let mut sampler = config.exec_time.sampler();
-        let mut exec_times = Vec::with_capacity(total);
         for _ in 0..frames {
             exec_times.extend(graph.jobs().iter().map(|j| sampler.sample(j)));
         }
 
-        let frame_gates: Vec<TimeQ> = (0..frames)
-            .map(|f| TimeQ::from_int(f as i64) * h + config.overhead.frame_overhead(f))
-            .collect();
+        frame_gates.extend(
+            (0..frames).map(|f| TimeQ::from_int(f as i64) * h + config.overhead.frame_overhead(f)),
+        );
 
         let replay = matches!(config.exec_time, ExecTimeModel::Wcet);
         let server_slots: Vec<usize> = graph
@@ -555,7 +591,8 @@ impl<'a> RoundEngine<'a> {
         self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Total number of rounds over all frames.
+    /// Total number of rounds over all frames; [`Self::new`] checked that
+    /// the product fits.
     fn total_rounds(&self) -> usize {
         self.frames as usize * self.n_jobs
     }
@@ -662,6 +699,7 @@ impl<'a> RoundEngine<'a> {
         scratch: &mut RoundScratch,
         mut audit: Option<&mut Vec<(u64, u64)>>,
     ) -> Result<(), SimError> {
+        scratch.reset(self.total_rounds(), self.m_procs)?;
         let RoundScratch {
             completion,
             proc_avail,
@@ -669,12 +707,6 @@ impl<'a> RoundEngine<'a> {
             records,
             memo,
         } = scratch;
-        completion.clear();
-        completion.resize(self.total_rounds(), None);
-        proc_avail.clear();
-        proc_avail.resize(self.m_procs, TimeQ::ZERO);
-        records.clear();
-        records.reserve(self.total_rounds());
         memo.reset(self.replay);
         let n_jobs = self.n_jobs;
         let wrap_preds = &self.tables.wrap_pred_data;
@@ -840,6 +872,8 @@ impl<'a> RoundEngine<'a> {
         &self,
         scratch: &mut RoundScratch,
     ) -> Result<(), SimError> {
+        let total_rounds = self.total_rounds();
+        scratch.reset(total_rounds, self.m_procs)?;
         let RoundScratch {
             completion,
             proc_avail,
@@ -847,13 +881,6 @@ impl<'a> RoundEngine<'a> {
             records,
             memo: _,
         } = scratch;
-        let total_rounds = self.total_rounds();
-        completion.clear();
-        completion.resize(total_rounds, None);
-        proc_avail.clear();
-        proc_avail.resize(self.m_procs, TimeQ::ZERO);
-        records.clear();
-        records.reserve(total_rounds);
         cursors.clear();
         cursors.resize(self.m_procs, (0u64, 0usize));
         let n_jobs = self.n_jobs;
@@ -1451,6 +1478,26 @@ mod tests {
         };
         match simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &config) {
             Err(SimError::InvalidConfig(msg)) => assert!(msg.contains("den > 0"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|r| r.stats)),
+        }
+    }
+
+    #[test]
+    fn unholdable_frame_count_is_a_typed_error() {
+        // One job per frame: 2^60 frames need 2^65 bytes for one time slab,
+        // past `isize::MAX`, so the reservation is refused on any host
+        // without asking the allocator.
+        let mut b = FppnBuilder::new();
+        b.process(ProcessSpec::new("p", EventSpec::periodic(ms(100))));
+        let (net, bank) = b.build().unwrap();
+        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
+        let schedule = list_schedule(&derived.graph, 1, Heuristic::AlapEdf);
+        let config = SimConfig {
+            frames: 1 << 60,
+            ..SimConfig::default()
+        };
+        match simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &config) {
+            Err(SimError::InvalidConfig(msg)) => assert!(msg.contains("round-table"), "{msg}"),
             other => panic!("expected InvalidConfig, got {:?}", other.map(|r| r.stats)),
         }
     }

@@ -5,11 +5,11 @@
 //! channel is written by `w` and read by `r`. The sharded behavior executor
 //! (`fppn-sim`) uses this map three ways:
 //!
+//! * the **read channels** of a process fix the order in which its jobs
+//!   receive per-channel visibility counts;
 //! * the **direct writers** of a process are the rendezvous partners of its
 //!   jobs (a job may read a channel once the writer has committed every job
 //!   canonically ordered before it);
-//! * the **upstream closure** identifies pure sources (no waits at all) and
-//!   bounds how far a stall can propagate;
 //! * the **weakly-connected components** are fully independent clusters —
 //!   processes in different components never exchange data, so an executor
 //!   can partition them across workers without any cross-worker rendezvous.
@@ -25,16 +25,9 @@ use fppn_core::{ChannelId, Fppn, ProcessId};
 pub struct ChannelDependencyMap {
     /// Per process: cross-process channels it reads, `ChannelId`-ascending.
     reads: Vec<Vec<ChannelId>>,
-    /// Per process: cross-process channels it writes, `ChannelId`-ascending.
-    writes: Vec<Vec<ChannelId>>,
-    /// Per process: self-loop channels, `ChannelId`-ascending.
-    self_loops: Vec<Vec<ChannelId>>,
     /// Per process: distinct writer processes of its read channels,
     /// `ProcessId`-ascending (never contains the process itself).
     direct_writers: Vec<Vec<ProcessId>>,
-    /// Per process: every process reachable *backwards* through read ports
-    /// (transitive closure of `direct_writers`), `ProcessId`-ascending.
-    upstream: Vec<Vec<ProcessId>>,
     /// Weakly-connected components of the writer→reader graph, each
     /// `ProcessId`-ascending; singleton components are isolated processes.
     components: Vec<Vec<ProcessId>>,
@@ -45,46 +38,18 @@ impl ChannelDependencyMap {
     pub fn analyze(net: &Fppn) -> Self {
         let n = net.process_count();
         let mut reads = vec![Vec::new(); n];
-        let mut writes = vec![Vec::new(); n];
-        let mut self_loops = vec![Vec::new(); n];
         let mut direct_writers: Vec<Vec<ProcessId>> = vec![Vec::new(); n];
-        // Channel ids ascend, so every per-process list ends up sorted.
+        // Channel ids ascend, so the read lists end up sorted.
         for (i, spec) in net.channels().iter().enumerate() {
-            let ch = ChannelId::from_index(i);
             if spec.is_self_loop() {
-                self_loops[spec.writer().index()].push(ch);
                 continue;
             }
-            reads[spec.reader().index()].push(ch);
-            writes[spec.writer().index()].push(ch);
+            reads[spec.reader().index()].push(ChannelId::from_index(i));
             direct_writers[spec.reader().index()].push(spec.writer());
         }
         for list in &mut direct_writers {
             list.sort();
             list.dedup();
-        }
-
-        // Upstream closure: BFS over direct_writers from each process.
-        let mut upstream = vec![Vec::new(); n];
-        let mut mark = vec![usize::MAX; n];
-        for p in 0..n {
-            let mut queue: Vec<ProcessId> = direct_writers[p].clone();
-            for &w in &queue {
-                mark[w.index()] = p;
-            }
-            let mut head = 0;
-            while head < queue.len() {
-                let w = queue[head];
-                head += 1;
-                for &ww in &direct_writers[w.index()] {
-                    if mark[ww.index()] != p {
-                        mark[ww.index()] = p;
-                        queue.push(ww);
-                    }
-                }
-            }
-            queue.sort();
-            upstream[p] = queue;
         }
 
         // Weakly-connected components via union-find over channel edges.
@@ -119,10 +84,7 @@ impl ChannelDependencyMap {
 
         ChannelDependencyMap {
             reads,
-            writes,
-            self_loops,
             direct_writers,
-            upstream,
             components,
         }
     }
@@ -134,34 +96,10 @@ impl ChannelDependencyMap {
         &self.reads[pid.index()]
     }
 
-    /// Cross-process channels `pid` writes, `ChannelId`-ascending.
-    pub fn writes(&self, pid: ProcessId) -> &[ChannelId] {
-        &self.writes[pid.index()]
-    }
-
-    /// Self-loop channels of `pid`, `ChannelId`-ascending.
-    pub fn self_loops(&self, pid: ProcessId) -> &[ChannelId] {
-        &self.self_loops[pid.index()]
-    }
-
     /// Distinct writer processes feeding `pid`'s read ports (never `pid`
     /// itself), `ProcessId`-ascending.
     pub fn direct_writers(&self, pid: ProcessId) -> &[ProcessId] {
         &self.direct_writers[pid.index()]
-    }
-
-    /// Every process reachable upstream of `pid` through read ports
-    /// (transitive closure of [`ChannelDependencyMap::direct_writers`]),
-    /// `ProcessId`-ascending. Contains `pid` itself only if `pid` sits on a
-    /// cross-process data cycle.
-    pub fn upstream(&self, pid: ProcessId) -> &[ProcessId] {
-        &self.upstream[pid.index()]
-    }
-
-    /// Whether `pid` reads no cross-process channel at all (a pure source:
-    /// its jobs never wait on the rendezvous).
-    pub fn is_source(&self, pid: ProcessId) -> bool {
-        self.direct_writers[pid.index()].is_empty()
     }
 
     /// Weakly-connected components of the writer→reader graph, each sorted
@@ -190,25 +128,22 @@ mod tests {
         let mut b = FppnBuilder::new();
         let a = b.process(ProcessSpec::new("a", EventSpec::periodic(ms(10))));
         let c = b.process(ProcessSpec::new("c", EventSpec::periodic(ms(10))));
-        let lp = b.channel("state", a, a, ChannelKind::Blackboard);
+        b.channel("state", a, a, ChannelKind::Blackboard);
         let x = b.channel("x", a, c, ChannelKind::Fifo);
         b.priority(a, c);
         let (net, _) = b.build().unwrap();
         let m = ChannelDependencyMap::analyze(&net);
-        assert_eq!(m.self_loops(a), &[lp]);
         assert_eq!(m.reads(a), &[] as &[ChannelId]);
         assert_eq!(m.direct_writers(a), &[] as &[ProcessId]);
-        assert!(m.is_source(a));
         assert_eq!(m.reads(c), &[x]);
         assert_eq!(m.direct_writers(c), &[a]);
-        assert_eq!(m.upstream(c), &[a]);
-        assert!(!m.upstream(a).contains(&a), "self-loop is not upstream");
     }
 
     #[test]
     fn diamond_fan_in_closure_and_writers() {
         // src -> {l, r} -> sink, plus a second src->sink channel: sink's
-        // direct writers dedupe to {src, l, r}, closure adds nothing new.
+        // direct writers dedupe to {src, l, r}, and the component closure
+        // holds all four.
         let mut b = FppnBuilder::new();
         let src = b.process(ProcessSpec::new("src", EventSpec::periodic(ms(10))));
         let l = b.process(ProcessSpec::new("l", EventSpec::periodic(ms(10))));
@@ -228,8 +163,6 @@ mod tests {
         let (net, _) = b.build().unwrap();
         let m = ChannelDependencyMap::analyze(&net);
         assert_eq!(m.direct_writers(sink), &[src, l, r]);
-        assert_eq!(m.upstream(sink), &[src, l, r]);
-        assert_eq!(m.upstream(l), &[src]);
         assert_eq!(m.reads(sink).len(), 4);
         assert_eq!(m.components(), &[vec![src, l, r, sink]]);
     }
@@ -265,7 +198,7 @@ mod tests {
         let (net, _) = b.build().unwrap();
         let m = ChannelDependencyMap::analyze(&net);
         assert_eq!(m.components(), &[vec![a, c], vec![d]]);
-        assert!(m.is_source(d));
+        assert_eq!(m.direct_writers(d), &[] as &[ProcessId]);
     }
 
     #[test]
@@ -281,7 +214,7 @@ mod tests {
         let (net, _) = b.build().unwrap();
         let m = ChannelDependencyMap::analyze(&net);
         assert_eq!(m.direct_writers(ids[4]), &[ids[3]]);
-        assert_eq!(m.upstream(ids[4]), &ids[..4]);
-        assert_eq!(m.upstream(ids[0]), &[] as &[ProcessId]);
+        // Writers are direct only; the component closes over the chain.
+        assert_eq!(m.components(), &[ids]);
     }
 }

@@ -1,7 +1,6 @@
 //! Property tests for the channel-dependency analysis: on random layered
-//! networks, the computed upstream closure must equal a brute-force
-//! reachability check, and direct writers must match a naive scan of the
-//! channel table.
+//! networks, direct writers must match a naive scan of the channel table,
+//! and the components must be exactly the undirected connectivity classes.
 
 use fppn_core::{ChannelKind, EventSpec, Fppn, FppnBuilder, ProcessId, ProcessSpec};
 use fppn_taskgraph::ChannelDependencyMap;
@@ -42,9 +41,8 @@ fn network(n: usize, edge_bits: u64, loop_bits: u64) -> Fppn {
     b.build().expect("recipe networks are well-formed").0
 }
 
-/// Brute force: direct writers by scanning every channel, closure by
-/// fixed-point iteration over the full adjacency matrix.
-fn brute_force(net: &Fppn) -> (Vec<Vec<ProcessId>>, Vec<Vec<ProcessId>>) {
+/// Brute force: direct writers by scanning every channel.
+fn brute_force(net: &Fppn) -> Vec<Vec<ProcessId>> {
     let n = net.process_count();
     let mut direct = vec![vec![false; n]; n]; // direct[r][w]
     for c in net.channels() {
@@ -52,66 +50,36 @@ fn brute_force(net: &Fppn) -> (Vec<Vec<ProcessId>>, Vec<Vec<ProcessId>>) {
             direct[c.reader().index()][c.writer().index()] = true;
         }
     }
-    let mut reach = direct.clone();
-    loop {
-        let mut changed = false;
-        for row in reach.iter_mut() {
-            for w in 0..n {
-                if !row[w] {
-                    continue;
-                }
-                for ww in 0..n {
-                    if direct[w][ww] && !row[ww] {
-                        row[ww] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let to_ids = |m: &Vec<Vec<bool>>| -> Vec<Vec<ProcessId>> {
-        m.iter()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .filter(|&(_, &b)| b)
-                    .map(|(i, _)| ProcessId::from_index(i))
-                    .collect()
-            })
-            .collect()
-    };
-    (to_ids(&direct), to_ids(&reach))
+    direct
+        .iter()
+        .map(|row| {
+            row.iter()
+                .enumerate()
+                .filter(|&(_, &b)| b)
+                .map(|(i, _)| ProcessId::from_index(i))
+                .collect()
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn closure_equals_brute_force_reachability(
+    fn writers_and_components_equal_brute_force(
         n in 1usize..8,
         edge_bits in any::<u64>(),
         loop_bits in any::<u64>(),
     ) {
         let net = network(n, edge_bits, loop_bits);
         let map = ChannelDependencyMap::analyze(&net);
-        let (direct, reach) = brute_force(&net);
+        let direct = brute_force(&net);
         for p in net.process_ids() {
             prop_assert_eq!(
                 map.direct_writers(p), &direct[p.index()][..],
                 "direct writers of {}", p
             );
-            prop_assert_eq!(
-                map.upstream(p), &reach[p.index()][..],
-                "upstream closure of {}", p
-            );
-            // Self-loops never contribute direct dependencies. (A process
-            // CAN appear in its own upstream closure: channels may flow
-            // against the FP order, so cross-process data cycles — like
-            // the paper's Fig. 1 feedback loop — are legal, and the brute
-            // force above confirms the closure reports them.)
+            // Self-loops never contribute direct dependencies.
             prop_assert!(!map.direct_writers(p).contains(&p));
         }
         // Components partition the processes.
