@@ -351,11 +351,11 @@ pub fn synthetic_task_graph(cfg: &SyntheticGraphConfig) -> TaskGraph {
 /// run **generated compute kernels** — deterministic, seed-derived integer
 /// mixers — and stream their results through real channels.
 ///
-/// This is the substrate for data-plane scalability experiments: unlike
+/// This is the behavior-heavy substrate of the differential suite: unlike
 /// the FMS/random multirate networks (whose behaviors are a handful of
 /// integer folds), each job here burns a tunable amount of CPU before
-/// writing, so behavior execution dominates the simulation and sharding it
-/// is measurable.
+/// writing, so the behavior replay, not the round loop, dominates the
+/// simulation.
 #[derive(Debug, Clone)]
 pub struct SyntheticFppnConfig {
     /// The layered shape: `jobs` becomes the process count, `depth`,

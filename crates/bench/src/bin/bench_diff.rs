@@ -25,7 +25,7 @@
 //! a `/6` run, say).
 //!
 //! `--relative-to seq_ms` compares each metric as a **ratio to that run's
-//! own reference metric** instead of absolute milliseconds: `sharded_ms /
+//! own reference metric** instead of absolute milliseconds: `memo_ms /
 //! seq_ms` new-vs-baseline. Host speed cancels out, so a baseline
 //! committed from one machine gates runs on another — this is the mode CI
 //! uses (an absolute cross-machine diff would only measure the hardware).
@@ -39,16 +39,18 @@
 //! The parser handles exactly the shape `scalability` emits (hand-rolled
 //! writer, one bench object per line) plus arbitrary whitespace; there is
 //! no serde in the offline container. Schemas `fppn-bench-sim/2` through
-//! `/7` all parse: `/3` added `rounds_per_sec`, `/4` adds the serve
+//! `/8` all parse: `/3` added `rounds_per_sec`, `/4` adds the serve
 //! control-plane records (`serve_runs_per_sec`, cache hit/miss counts and
 //! the compile/lookup/run timings), `/5` adds `memo_ms` — the memoized
 //! sequential run, gated like every other `_ms` column so a frame-memo
 //! slowdown fails the diff — plus the informational `memo_hits`/
 //! `memo_misses` frame-memo counters and the serve `run_cache_hits`
 //! cross-run result-cache counter, `/6` drops `par_ms` and
-//! `pipeline_ms` (the modes they timed are gone), and `/7` drops the
+//! `pipeline_ms` (the modes they timed are gone), `/7` drops the
 //! `serve` array (never gated; perfbench's `serve-mix` times whole
-//! requests through the server instead). Only `*_ms` metrics are
+//! requests through the server instead), and `/8` drops the
+//! `behavior-heavy` rows and their `sharded_ms` column with the sharded
+//! data plane, and the `workers` key with them. Only `*_ms` metrics are
 //! **gated**; everything else numeric on a bench line is reported as
 //! **informational** — throughput is the inverse of the exempt `seq_ms`
 //! reference and just as host-dependent, and the cache counters describe
@@ -57,7 +59,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Per-bench metrics: metric name (`seq_ms`, `sharded_ms`, …) → milliseconds.
+/// Per-bench metrics: metric name (`seq_ms`, `memo_ms`, …) → milliseconds.
 type Metrics = BTreeMap<String, f64>;
 
 /// One parsed bench line: the gated `*_ms` metrics plus every other
@@ -394,11 +396,16 @@ mod tests {
 
     #[test]
     fn schema_7_baseline_has_no_serve_array_and_keeps_every_gated_row() {
-        let text = include_str!("../../../../BENCH_sim.json");
-        assert!(text.contains("\"schema\": \"fppn-bench-sim/7\""));
-        assert!(!text.contains("\"serve\""), "schema 7 has no serve array");
-        let benches = parse_text(text, "BENCH_sim.json").unwrap();
-        assert_eq!(benches.len(), 12);
+        let text = r#"{
+  "schema": "fppn-bench-sim/7",
+  "host_cpus": 1,
+  "benches": [
+    {"name": "fms/frames8/procs2", "rounds": 22384, "workers": 4, "seq_ms": 9.396246, "sharded_ms": null, "memo_ms": 8.012241, "memo_hits": 6, "memo_misses": 2, "rounds_per_sec": 2382228.0},
+    {"name": "behavior-heavy/synthetic_48p_light", "rounds": 192, "workers": 4, "seq_ms": 1.287679, "sharded_ms": 1.677903, "memo_ms": null, "memo_hits": 0, "memo_misses": 0, "rounds_per_sec": 149105.5}
+  ]
+}"#;
+        let benches = parse_text(text, "schema-7").unwrap();
+        assert_eq!(benches.len(), 2);
         for (name, bench) in &benches {
             let gated: Vec<&str> = bench.metrics.keys().map(String::as_str).collect();
             if name.starts_with("fms") {
@@ -407,6 +414,30 @@ mod tests {
                 assert!(name.starts_with("behavior-heavy/"), "{name}");
                 assert_eq!(gated, ["seq_ms", "sharded_ms"], "{name}");
             }
+        }
+    }
+
+    #[test]
+    fn schema_8_baseline_gates_only_the_round_loop_rows() {
+        let text = include_str!("../../../../BENCH_sim.json");
+        assert!(text.contains("\"schema\": \"fppn-bench-sim/8\""));
+        assert!(!text.contains("behavior-heavy") && !text.contains("sharded_ms"));
+        assert!(!text.contains("\"workers\""));
+        let benches = parse_text(text, "BENCH_sim.json").unwrap();
+        assert_eq!(benches.len(), 8);
+        for (name, bench) in &benches {
+            assert!(
+                name.starts_with("fms/") || name.starts_with("fms-sporadic/"),
+                "{name}"
+            );
+            let gated: Vec<&str> = bench.metrics.keys().map(String::as_str).collect();
+            assert_eq!(gated, ["memo_ms", "seq_ms"], "{name}");
+            let info: Vec<&str> = bench.info.keys().map(String::as_str).collect();
+            assert_eq!(
+                info,
+                ["memo_hits", "memo_misses", "rounds_per_sec"],
+                "{name}"
+            );
         }
     }
 
@@ -442,7 +473,7 @@ mod tests {
     fn ratio_mode_floor_absorbs_small_ratio_wobble_but_not_blowups() {
         // +67% but only +0.08 ratio points: within the 0.10 floor.
         assert!(!is_regression(0.12, 0.20, 0.10, 25.0));
-        // A sharded-data-plane blowup on a tiny bench: 1.24x -> 10x seq.
+        // A blowup on a tiny bench: 1.24x -> 10x seq.
         assert!(is_regression(1.24, 10.0, 0.10, 25.0));
         // Improvements never regress.
         assert!(!is_regression(1.24, 0.9, 0.10, 25.0));

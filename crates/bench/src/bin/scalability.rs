@@ -4,11 +4,10 @@
 //! sweeps the MagnDeclin period and random multirate networks, measures the
 //! event-driven scheduler against the retained naive reference on the FMS
 //! graph, and pushes synthetic layered DAGs to 100k jobs across every
-//! heuristic. Its simulation sweeps time the oracle seam against the
-//! default memoized run on FMS, and the sequential store against the
-//! sharded data plane on behavior-heavy synthetic networks, checking
-//! bit-identity on every run; their medians go to `BENCH_sim.json`, the
-//! file CI's `bench_diff` gate compares with the committed baseline.
+//! heuristic. Its simulation sweep times the oracle seam against the
+//! default memoized run on FMS, checking bit-identity on every run; its
+//! medians go to `BENCH_sim.json`, the file CI's `bench_diff` gate
+//! compares with the committed baseline.
 //!
 //! Flags (all optional):
 //!
@@ -17,9 +16,6 @@
 //! * `--budget-ms MS` — wall-clock guard: exit non-zero if the whole run
 //!   exceeds `MS` milliseconds (default 0 = unlimited). An accidental
 //!   O(n²) regression blows straight through any sane budget.
-//! * `--workers N` — threads for the sharded data plane in the
-//!   behavior sweep (`SimConfig::behavior_workers`; default 4, `0` skips
-//!   the simulation sweeps entirely),
 //! * `--sim-frames N` — schedule frames per simulation measurement
 //!   (default 8; the ~100k-round tier scales this ×4),
 //! * `--bench-reps N` — repetitions per simulation measurement; the
@@ -33,8 +29,8 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use fppn_apps::{
-    fms_network, fms_sporadics, fms_wcet, random_workload, synthetic_fppn, synthetic_task_graph,
-    FmsVariant, SyntheticFppnConfig, SyntheticGraphConfig, WorkloadConfig,
+    fms_network, fms_sporadics, fms_wcet, random_workload, synthetic_task_graph, FmsVariant,
+    SyntheticGraphConfig, WorkloadConfig,
 };
 use fppn_sched::{list_schedule, list_schedule_naive, Heuristic};
 use fppn_sim::hotpath::simulate_oracle;
@@ -45,17 +41,11 @@ use fppn_taskgraph::derive_task_graph;
 struct BenchRecord {
     name: String,
     rounds: usize,
-    workers: usize,
     /// The reference wall-clock `bench_diff` scores every column against:
-    /// the oracle seam's free-interleave loop in the round-loop sweep, the
-    /// sequential store in the behavior sweep.
+    /// the oracle seam's free-interleave loop.
     seq: Duration,
-    /// Wall-clock on the sharded data plane (`SimConfig::behavior_workers`);
-    /// `None` where the sweep does not measure it.
-    sharded: Option<Duration>,
-    /// Wall-clock of the default run, frame memo included; `None` where
-    /// the sweep does not measure it against the oracle seam.
-    memo: Option<Duration>,
+    /// Wall-clock of the default run, frame memo included.
+    memo: Duration,
     memo_hits: u64,
     memo_misses: u64,
 }
@@ -71,13 +61,12 @@ struct BenchRecord {
 /// `run_cache_hits` cross-run result-cache counter; `/6` drops `par_ms`
 /// and `pipeline_ms` with the parallel round plane and the streaming
 /// pipeline they measured; `/7` drops the ungated `serve` array, whose
-/// requests perfbench's `serve-mix` measures end to end).
+/// requests perfbench's `serve-mix` measures end to end; `/8` drops the
+/// `behavior-heavy` rows and the `workers`/`sharded_ms` keys with the
+/// sharded data plane they measured).
 fn write_bench_json(path: &str, records: &[BenchRecord]) {
-    let opt_ms = |d: Option<Duration>| {
-        d.map_or("null".to_owned(), |d| format!("{:.6}", d.as_secs_f64() * 1e3))
-    };
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"fppn-bench-sim/7\",");
+    let _ = writeln!(out, "  \"schema\": \"fppn-bench-sim/8\",");
     let _ = writeln!(
         out,
         "  \"host_cpus\": {},",
@@ -87,16 +76,13 @@ fn write_bench_json(path: &str, records: &[BenchRecord]) {
     for (i, r) in records.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"name\": \"{}\", \"rounds\": {}, \"workers\": {}, \
-             \"seq_ms\": {:.6}, \"sharded_ms\": {}, \
-             \"memo_ms\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \
+            "    {{\"name\": \"{}\", \"rounds\": {}, \"seq_ms\": {:.6}, \
+             \"memo_ms\": {:.6}, \"memo_hits\": {}, \"memo_misses\": {}, \
              \"rounds_per_sec\": {:.1}}}",
             r.name,
             r.rounds,
-            r.workers,
             r.seq.as_secs_f64() * 1e3,
-            opt_ms(r.sharded),
-            opt_ms(r.memo),
+            r.memo.as_secs_f64() * 1e3,
             r.memo_hits,
             r.memo_misses,
             r.rounds as f64 / r.seq.as_secs_f64().max(1e-9),
@@ -181,7 +167,7 @@ fn fms_speedup_check() {
 /// pattern relative to its own base, so frames are exact time-translates
 /// and the `memo_ms` column measures real replay (hits), not a
 /// sweep-specific fallback.
-fn simulation_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<BenchRecord>) {
+fn simulation_sweep(frames: u64, reps: usize, records: &mut Vec<BenchRecord>) {
     println!(
         "\nround loop (oracle seam vs default memoized run, median of {reps}, \
          bit-identity checked):"
@@ -256,129 +242,12 @@ fn simulation_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<
             records.push(BenchRecord {
                 name: format!("{prefix}/frames{frames}/procs{m}"),
                 rounds: seq.records.len(),
-                workers,
                 seq: t_seq,
-                sharded: None,
-                memo: Some(t_memo),
+                memo: t_memo,
                 memo_hits,
                 memo_misses,
             });
         }
-    }
-}
-
-/// The data-plane sweep: the behavior-heavy synthetic FPPN (generated
-/// compute kernels) on the sequential store vs the sharded data plane at
-/// `behavior_workers = workers` — bit-identity checked on every run. On
-/// the FMS-style workloads above, behaviors are a few integer folds and
-/// the data plane is noise; here it dominates. The sporadic entry turns on
-/// the stimulus knobs so the server-slot machinery is in the hot loop too.
-/// Both sides are default runs, so both include the frame memo.
-fn behavior_sweep(workers: usize, frames: u64, reps: usize, records: &mut Vec<BenchRecord>) {
-    println!(
-        "\nbehavior-heavy data plane (seq vs sharded on {workers} threads, median of {reps}, \
-         bit-identity checked):"
-    );
-    let shape = |jobs: usize, depth: usize| SyntheticGraphConfig {
-        jobs,
-        depth,
-        seed: jobs as u64,
-        ..SyntheticGraphConfig::default()
-    };
-    for (label, fppn_cfg) in [
-        (
-            "synthetic 48p light",
-            SyntheticFppnConfig {
-                shape: shape(48, 6),
-                compute_iters: (500, 2_000),
-                ..SyntheticFppnConfig::default()
-            },
-        ),
-        (
-            "synthetic 48p heavy",
-            SyntheticFppnConfig {
-                shape: shape(48, 6),
-                compute_iters: (10_000, 40_000),
-                ..SyntheticFppnConfig::default()
-            },
-        ),
-        (
-            "synthetic 120p heavy",
-            SyntheticFppnConfig {
-                shape: shape(120, 10),
-                compute_iters: (10_000, 40_000),
-                ..SyntheticFppnConfig::default()
-            },
-        ),
-        (
-            "synthetic 48p sporadic",
-            SyntheticFppnConfig {
-                shape: shape(48, 6),
-                compute_iters: (5_000, 20_000),
-                sporadic: 6,
-                input_permille: 400,
-                ..SyntheticFppnConfig::default()
-            },
-        ),
-    ] {
-        let w = synthetic_fppn(&fppn_cfg);
-        let derived = derive_task_graph(&w.net, &w.wcet).expect("derivable");
-        let schedule = list_schedule(&derived.graph, 4, Heuristic::AlapEdf);
-        let horizon = fppn_time::TimeQ::from_int(frames as i64) * derived.hyperperiod;
-        let stimuli = if fppn_cfg.sporadic > 0 {
-            clip_stimuli(
-                &w.net,
-                &derived,
-                &fppn_sim::random_stimuli(&w.net, horizon, 600, 99),
-                frames,
-            )
-        } else {
-            fppn_core::Stimuli::new()
-        };
-        let cfg = SimConfig {
-            frames,
-            ..SimConfig::default()
-        };
-        let (seq, t_seq) = median_timed(reps, || {
-            simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &cfg)
-                .expect("sequential simulation")
-        });
-        let (sharded, t_sharded) = median_timed(reps, || {
-            simulate(
-                &w.net,
-                &w.bank,
-                &stimuli,
-                &derived,
-                &schedule,
-                &SimConfig {
-                    behavior_workers: workers,
-                    ..cfg
-                },
-            )
-            .expect("sharded simulation")
-        });
-        assert_eq!(seq.records, sharded.records, "sharded records diverged");
-        assert_eq!(
-            seq.observables, sharded.observables,
-            "sharded observables diverged"
-        );
-        println!(
-            "{label:<22} frames={frames:>3} | {:>6} rounds | seq {:>9.2?} | sharded {:>9.2?} | sharded vs seq {:.2}x",
-            seq.records.len(),
-            t_seq,
-            t_sharded,
-            t_seq.as_secs_f64() / t_sharded.as_secs_f64().max(1e-9),
-        );
-        records.push(BenchRecord {
-            name: format!("behavior-heavy/{}", label.replace(' ', "_")),
-            rounds: seq.records.len(),
-            workers,
-            seq: t_seq,
-            sharded: Some(t_sharded),
-            memo: None,
-            memo_hits: 0,
-            memo_misses: 0,
-        });
     }
 }
 
@@ -419,7 +288,6 @@ fn synthetic_sweep(max_jobs: usize) {
 fn main() {
     let mut synthetic_jobs = 100_000usize;
     let mut budget_ms = 0u64;
-    let mut workers = 4usize;
     let mut sim_frames = 8u64;
     let mut bench_reps = 3usize;
     let mut bench_json = "BENCH_sim.json".to_owned();
@@ -437,12 +305,11 @@ fn main() {
         match flag.as_str() {
             "--synthetic-jobs" => synthetic_jobs = grab("--synthetic-jobs") as usize,
             "--budget-ms" => budget_ms = grab("--budget-ms"),
-            "--workers" => workers = grab("--workers") as usize,
             "--sim-frames" => sim_frames = grab("--sim-frames").max(1),
             "--bench-reps" => bench_reps = grab("--bench-reps").max(1) as usize,
             other => panic!(
                 "unknown flag {other}; known: --synthetic-jobs N, --budget-ms MS, \
-                 --workers N, --sim-frames N, --bench-reps N, --bench-json PATH"
+                 --sim-frames N, --bench-reps N, --bench-json PATH"
             ),
         }
     }
@@ -477,10 +344,7 @@ fn main() {
     synthetic_sweep(synthetic_jobs);
 
     let mut records = Vec::new();
-    if workers > 0 {
-        simulation_sweep(workers, sim_frames, bench_reps, &mut records);
-        behavior_sweep(workers, sim_frames.min(4), bench_reps, &mut records);
-    }
+    simulation_sweep(sim_frames, bench_reps, &mut records);
     write_bench_json(&bench_json, &records);
 
     let elapsed = wall.elapsed();

@@ -61,7 +61,6 @@ pub mod lang;
 mod network;
 mod process;
 mod semantics;
-mod shard;
 mod trace;
 mod value;
 
@@ -77,6 +76,5 @@ pub use semantics::{
     invocations_by_time, linearization_ranks, run_zero_delay, Invocation, JobOrdering,
     SemanticsError, ZeroDelayRun,
 };
-pub use shard::{ProcessShard, SharedChannels, ShardedExec};
 pub use trace::{Action, JobRun, Observables, OutputLog, Trace};
 pub use value::Value;

@@ -13,9 +13,10 @@
 
 use std::error::Error;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use crossbeam::thread;
 use fppn_core::{
     BehaviorBank, ExecError, Fppn, JobCtx, NetworkError, Observables, Stimuli,
 };
@@ -65,8 +66,11 @@ pub enum RuntimeError {
     Network(NetworkError),
     /// A behavior failed on some worker.
     Exec(ExecError),
-    /// A worker thread panicked.
+    /// A behavior or a worker thread panicked.
     WorkerPanicked,
+    /// The [`RuntimeConfig`] is unusable, e.g. a frame count whose round
+    /// table cannot be held. Raised before any worker starts.
+    InvalidConfig(String),
 }
 
 impl fmt::Display for RuntimeError {
@@ -74,7 +78,8 @@ impl fmt::Display for RuntimeError {
         match self {
             RuntimeError::Network(e) => write!(f, "invalid stimuli: {e}"),
             RuntimeError::Exec(e) => write!(f, "behavior failed: {e}"),
-            RuntimeError::WorkerPanicked => write!(f, "a worker thread panicked"),
+            RuntimeError::WorkerPanicked => write!(f, "a behavior or worker thread panicked"),
+            RuntimeError::InvalidConfig(msg) => write!(f, "invalid runtime config: {msg}"),
         }
     }
 }
@@ -120,8 +125,10 @@ impl DoneTable {
 ///
 /// # Errors
 ///
-/// Returns [`RuntimeError`] on invalid stimuli, behavior failures, or a
-/// panicking worker.
+/// Returns [`RuntimeError`] on invalid stimuli, an unholdable frame
+/// count, behavior failures, or a panicking behavior or worker. A failed
+/// or panicking job stops every later job from executing, but each worker
+/// still marks its rounds done, so no peer waits forever.
 pub fn run_threaded(
     net: &Fppn,
     bank: &BehaviorBank,
@@ -135,7 +142,8 @@ pub fn run_threaded(
     let n_jobs = graph.job_count();
     let frames = config.frames;
     let m_procs = schedule.processors();
-    let resolution = RoundResolution::resolve(net, derived, stimuli, frames);
+    let resolution = RoundResolution::resolve(net, derived, stimuli, frames)
+        .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
     let wraps = wrap_predecessors(net, derived);
     let proc_orders: Vec<Vec<fppn_taskgraph::JobId>> =
         (0..m_procs).map(|m| schedule.processor_order(m)).collect();
@@ -145,6 +153,7 @@ pub fn run_threaded(
     let behaviors: Vec<Mutex<fppn_core::BoxedBehavior>> =
         bank.instantiate().into_iter().map(Mutex::new).collect();
     let first_error: Mutex<Option<ExecError>> = Mutex::new(None);
+    let panicked = AtomicBool::new(false);
     let executed = Mutex::new(0usize);
     let skipped = Mutex::new(0usize);
     let epoch = Instant::now();
@@ -168,7 +177,7 @@ pub fn run_threaded(
                 }
                 done.wait_all(&deps);
 
-                let failed = first_error.lock().is_some();
+                let failed = panicked.load(Ordering::SeqCst) || first_error.lock().is_some();
                 if res.executable && !failed {
                     // Synchronize Invocation: pace by the scaled clock.
                     if config.us_per_ms > 0 {
@@ -185,15 +194,18 @@ pub fn run_threaded(
                     let k = store.next_k(pid);
                     let mut access = StoreAccess::new(&store);
                     let mut ctx = JobCtx::new(&mut access, pid, k, res.invoked_at);
-                    let result = behaviors[pid.index()].lock().on_job(&mut ctx);
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        behaviors[pid.index()].lock().on_job(&mut ctx)
+                    }));
                     match result {
-                        Ok(()) => *executed.lock() += 1,
-                        Err(e) => {
+                        Ok(Ok(())) => *executed.lock() += 1,
+                        Ok(Err(e)) => {
                             let mut slot = first_error.lock();
                             if slot.is_none() {
                                 *slot = Some(e);
                             }
                         }
+                        Err(_) => panicked.store(true, Ordering::SeqCst),
                     }
                 } else if !res.executable {
                     *skipped.lock() += 1;
@@ -203,15 +215,15 @@ pub fn run_threaded(
         }
     };
 
-    let panicked = thread::scope(|s| {
-        let handles: Vec<_> = (0..m_procs)
-            .map(|m| s.spawn(move |_| worker(m)))
-            .collect();
-        handles.into_iter().any(|h| h.join().is_err())
-    })
-    .is_err();
+    let worker_died = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..m_procs).map(|m| s.spawn(move || worker(m))).collect();
+        // Join every handle: `any` would stop at the first dead worker.
+        handles
+            .into_iter()
+            .fold(false, |died, h| h.join().is_err() | died)
+    });
 
-    if panicked {
+    if worker_died || panicked.into_inner() {
         return Err(RuntimeError::WorkerPanicked);
     }
     if let Some(e) = first_error.into_inner() {
@@ -400,5 +412,111 @@ mod tests {
             &RuntimeConfig::default(),
         );
         assert!(matches!(err, Err(RuntimeError::Exec(_))));
+    }
+
+    /// A network whose `writer` panics from its second job on, feeding a
+    /// `reader` over a FIFO.
+    fn panicking_writer() -> (Fppn, BehaviorBank) {
+        let mut b = FppnBuilder::new();
+        let writer = b.process(ProcessSpec::new("writer", EventSpec::periodic(ms(100))));
+        let reader = b.process(ProcessSpec::new("reader", EventSpec::periodic(ms(100))));
+        let c = b.channel("c", writer, reader, ChannelKind::Fifo);
+        b.priority(writer, reader);
+        b.behavior(writer, move || {
+            Box::new(move |ctx: &mut JobCtx<'_>| {
+                assert!(ctx.k() < 2, "writer test panic");
+                ctx.write(c, Value::Int(ctx.k() as i64));
+            })
+        });
+        b.behavior(reader, move || {
+            Box::new(move |ctx: &mut JobCtx<'_>| {
+                let _ = ctx.read(c);
+            })
+        });
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn behavior_panic_on_one_processor_is_reported() {
+        let (net, bank) = panicking_writer();
+        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
+        let schedule = list_schedule(&derived.graph, 1, Heuristic::AlapEdf);
+        let config = RuntimeConfig {
+            frames: 4,
+            us_per_ms: 0,
+        };
+        let outcome = run_threaded(&net, &bank, &Stimuli::new(), &derived, &schedule, &config);
+        assert!(
+            matches!(outcome, Err(RuntimeError::WorkerPanicked)),
+            "{:?}",
+            outcome.map(|run| run.executed)
+        );
+    }
+
+    /// The panicking writer on processor 0 and its reader on processor 1:
+    /// the reader's next round waits on the writer's done flag, which a
+    /// panicking job must still set. Run on a separate thread so that a
+    /// hang fails the test instead of stalling the suite.
+    #[test]
+    fn behavior_panic_does_not_strand_a_reader_on_another_processor() {
+        use fppn_sched::Placement;
+        let (net, bank) = panicking_writer();
+        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
+        let writer = net.process_by_name("writer").unwrap();
+        let placements = derived
+            .graph
+            .job_ids()
+            .map(|job| {
+                let on_writer = derived.graph.job(job).process == writer;
+                Placement {
+                    job,
+                    processor: usize::from(!on_writer),
+                    start: if on_writer { ms(0) } else { ms(10) },
+                }
+            })
+            .collect();
+        let schedule = StaticSchedule::new(placements, 2, derived.hyperperiod);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let config = RuntimeConfig {
+                frames: 4,
+                us_per_ms: 0,
+            };
+            let outcome = run_threaded(&net, &bank, &Stimuli::new(), &derived, &schedule, &config);
+            let _ = tx.send(outcome.map(|run| run.executed));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("run_threaded hung after a behavior panic");
+        runner
+            .join()
+            .expect("the runner thread returned its outcome");
+        assert!(
+            matches!(outcome, Err(RuntimeError::WorkerPanicked)),
+            "{outcome:?}"
+        );
+    }
+
+    #[test]
+    fn unholdable_frame_count_is_a_typed_error() {
+        // One job per frame: 2^60 resolved slots are past `isize::MAX`
+        // bytes, so the reservation is refused on any host without asking
+        // the allocator.
+        let mut b = FppnBuilder::new();
+        b.process(ProcessSpec::new("p", EventSpec::periodic(ms(100))));
+        let (net, bank) = b.build().unwrap();
+        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
+        let schedule = list_schedule(&derived.graph, 1, Heuristic::AlapEdf);
+        let config = RuntimeConfig {
+            frames: 1 << 60,
+            us_per_ms: 0,
+        };
+        match run_threaded(&net, &bank, &Stimuli::new(), &derived, &schedule, &config) {
+            Err(RuntimeError::InvalidConfig(msg)) => assert!(msg.contains("frames"), "{msg}"),
+            other => panic!(
+                "expected InvalidConfig, got {:?}",
+                other.map(|run| run.executed)
+            ),
+        }
     }
 }

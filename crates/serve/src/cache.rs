@@ -91,10 +91,8 @@ impl ArtifactCache {
 /// The cross-run result key: one stable 64-bit hash over everything a
 /// run's output is a function of — the compiled artifact's content hash
 /// (network + WCET model + schedule), the complete [`Stimuli`]
-/// (Prop. 2.1: the run-specific input in its entirety), and the
-/// *semantic* [`SimConfig`] fields (frames, overhead model, exec-time
-/// model; `behavior_workers` is excluded because every setting of it is
-/// bit-identical by contract).
+/// (Prop. 2.1: the run-specific input in its entirety), and every
+/// [`SimConfig`] field (frames, overhead model, exec-time model).
 ///
 /// Deliberately **not** part of the key: the behavior bank. Behaviors are
 /// arbitrary code and cannot be content-hashed, so [`RunCache`] guards
@@ -121,9 +119,8 @@ struct RunEntry {
 /// simulation scale to lookup scale.
 ///
 /// Soundness rests on determinism end to end: the simulator is a pure
-/// function of `(artifact, stimuli, semantic config)` (Prop. 2.1 plus the
-/// data-plane bit-identity contract), so equal keys denote equal
-/// outputs. Two guards keep the pure-function claim honest:
+/// function of `(artifact, stimuli, config)` (Prop. 2.1), so equal keys
+/// denote equal outputs. Two guards keep the pure-function claim honest:
 ///
 /// * behavior code is not hashable, so a hit additionally requires the
 ///   request's bank to be the **same `Arc`** that produced the entry

@@ -53,7 +53,7 @@ pub struct RunRequest {
     pub bank: Arc<BehaviorBank>,
     /// Sporadic arrivals and external inputs for this run.
     pub stimuli: Stimuli,
-    /// Run-phase configuration (frames, models, data plane).
+    /// Run-phase configuration (frames, overhead and exec-time models).
     pub config: SimConfig,
     /// Optional wall-clock budget, measured from submission: a run still
     /// executing past it is cancelled at the next frame/behavior boundary

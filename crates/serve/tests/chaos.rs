@@ -14,10 +14,9 @@
 //! * backpressure ([`AdmissionError::QueueFull`]), shedding
 //!   ([`RunError::Shed`]) and bounded retry behave as specified.
 //!
-//! The tentpole sweep crosses the pool sizes 1, 2 and 4 with both data
-//! planes (`behavior_workers` 0 and 2) and with the run cache off and on,
-//! so the containment contract is checked on the threaded plane and
-//! through the cache, not just on the sequential store.
+//! The tentpole sweep crosses the pool sizes 1, 2 and 4 with the run cache
+//! off and on, so the containment contract is checked on pools that run
+//! faulted and clean runs side by side and through the cache.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
@@ -116,10 +115,6 @@ fn sim_cfg() -> SimConfig {
     }
 }
 
-/// The data planes the tentpole sweep crosses with every pool size and
-/// run-cache setting: the sequential store and the sharded plane.
-const BEHAVIOR_WORKERS: [usize; 2] = [0, 2];
-
 /// Run-cache settings of the sweep: off, and large enough to hold every
 /// clean result. Hits must never mask an injected fault.
 const RUN_CACHE_ENTRIES: [Option<usize>; 2] = [Some(0), Some(64)];
@@ -159,7 +154,7 @@ fn assert_identical(expected: &SimRun, got: &SimRun, what: &str) {
 }
 
 /// The tentpole chaos sweep: a pinned fault schedule over a stream of
-/// runs, per pool size × data plane × run-cache setting. Clean runs must
+/// runs, per pool size × run-cache setting. Clean runs must
 /// stay oracle-identical, every fault must surface typed and counted, and
 /// the pool must survive all of it.
 #[test]
@@ -183,13 +178,11 @@ fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
     let panic_bank = Arc::new(panic_bank);
 
     let sweep = POOL_SIZES.into_iter().flat_map(|pool| {
-        BEHAVIOR_WORKERS.into_iter().flat_map(move |behavior_workers| {
-            RUN_CACHE_ENTRIES
-                .into_iter()
-                .map(move |run_cache_entries| (pool, behavior_workers, run_cache_entries))
-        })
+        RUN_CACHE_ENTRIES
+            .into_iter()
+            .map(move |run_cache_entries| (pool, run_cache_entries))
     });
-    for (pool, behavior_workers, run_cache_entries) in sweep {
+    for (pool, run_cache_entries) in sweep {
         let server = Server::with_config(&ServerConfig {
             workers: pool,
             run_cache_entries,
@@ -200,18 +193,12 @@ fn injected_faults_are_contained_and_clean_runs_stay_bit_identical() {
             .cache()
             .get_or_compile(&net, &compile_cfg())
             .expect("clean compile");
-        // The oracle: the same artifact run directly on the sequential
-        // store, no pool involved.
+        // The oracle: the same artifact run directly, no pool involved.
+        let cfg = sim_cfg();
         let oracle = artifact
-            .simulate(&clean_bank, &Stimuli::new(), &sim_cfg())
+            .simulate(&clean_bank, &Stimuli::new(), &cfg)
             .expect("oracle run");
-        let cfg = SimConfig {
-            behavior_workers,
-            ..sim_cfg()
-        };
-        let setup = format!(
-            "pool {pool} behavior_workers {behavior_workers} run cache {run_cache_entries:?}"
-        );
+        let setup = format!("pool {pool} run cache {run_cache_entries:?}");
 
         let mut tickets = Vec::new();
         let (mut panics, mut slows, mut compile_faults, mut cleans) = (0u64, 0u64, 0u64, 0u64);

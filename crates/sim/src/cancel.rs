@@ -3,7 +3,7 @@
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle checked *between* units
 //! of work — at round-scan and frame boundaries in the round loop, and
-//! before each behavior job on either data plane — never preemptively.
+//! before each job of the behavior replay — never preemptively.
 //! Cooperative checks keep the determinism contract trivially intact: a
 //! cancelled run returns
 //! [`SimError::Cancelled`](crate::SimError::Cancelled) with partial

@@ -176,15 +176,11 @@ pub fn compile_key(net: &Fppn, cfg: &CompileConfig) -> u64 {
 }
 
 impl SimConfig {
-    /// Absorbs the *semantic* configuration — the fields that change what a
-    /// simulation computes — into a content hash: frame count, overhead
+    /// Absorbs the configuration into a content hash: frame count, overhead
     /// model, and execution-time model (tagged, with its parameters,
-    /// including the `Jitter` seed).
-    ///
-    /// `behavior_workers` is deliberately **excluded**: the sharded data
-    /// plane is bit-identical to the sequential store, so a result cached
-    /// under one setting is valid for all of them — that reuse is the point
-    /// of keying the serve-layer `RunCache` on this hash.
+    /// including the `Jitter` seed). Every field changes what a simulation
+    /// computes, so every field is hashed; the serve-layer `RunCache` keys
+    /// on this hash.
     pub fn content_hash_into(&self, h: &mut ContentHasher) {
         h.write_u64(self.frames);
         h.write_time(self.overhead.first_frame);
@@ -311,7 +307,7 @@ impl CompiledNetwork {
 
     /// Like [`CompiledNetwork::simulate_with_scratch`], but with
     /// cooperative cancellation armed: the round loop polls `cancel` at
-    /// round/frame boundaries (and the data plane per behavior job) and
+    /// round/frame boundaries (and the behavior replay per job) and
     /// abandons the run with [`SimError::Cancelled`] once it trips — the
     /// mechanism behind `fppn-serve`'s per-run deadlines and server
     /// shutdown. A run whose token never trips is bit-identical to

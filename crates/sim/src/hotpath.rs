@@ -8,8 +8,7 @@
 //! report the frame memo's hits and misses from the scalability bin; the
 //! request-level benchmark (`perfbench/`) also times the round layer alone
 //! through it. The round loop behind it is the same one every run uses,
-//! frame memo included, whatever the data plane, so the seam measures the
-//! real thing.
+//! frame memo included, so the seam measures the real thing.
 //!
 //! [`simulate_oracle`] is the other seam: the whole run through the plain
 //! free-interleave round loop, which never replays a frame. It is the
@@ -105,8 +104,8 @@ impl<'a> SeqRounds<'a> {
 /// The differential oracle: [`crate::simulate`] with the default round
 /// loop swapped for the free-interleave loop, which computes every round
 /// and never consults the frame memo. Everything else — binding,
-/// canonical order, the data plane `config.behavior_workers` selects,
-/// rendering — is shared, so a divergence from [`crate::simulate`] can
+/// canonical order, the behavior replay, rendering — is shared, so a
+/// divergence from [`crate::simulate`] can
 /// only come from the round loop. On a stalled schedule its
 /// `completed_rounds` is the dataflow fixed point, not the default loop's
 /// frame-major count.
@@ -127,5 +126,5 @@ pub fn simulate_oracle(
     let engine = RoundEngine::new(net, stimuli, derived, &tables, config)?;
     let mut scratch = RoundScratch::new();
     engine.compute_rounds_oracle_into(&mut scratch)?;
-    engine.finalize(net, bank, stimuli, scratch.records, config.behavior_workers)
+    engine.finalize(net, bank, stimuli, scratch.records)
 }

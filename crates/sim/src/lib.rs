@@ -15,14 +15,12 @@
 //! per-processor static orders frame by frame and, under the WCET
 //! execution-time model, replays a frame whose exact carry-in matches an
 //! earlier frame's from a frame memo; a run whose frames do not repeat
-//! disengages the memo after a few misses. The only parallel mode is the
-//! *data plane*: with [`SimConfig::behavior_workers`] `≥ 1` the process
-//! behaviors execute on that many threads against per-process shards,
-//! rendezvousing on the canonical record order the round engine already
-//! fixed. Prop. 4.1 makes the observables independent of that choice, and
-//! the differential suite proves every setting, and every replayed frame,
-//! bit-identical to the oracle: the plain round loop on the sequential
-//! store (`hotpath::simulate_oracle`).
+//! disengages the memo after a few misses. The behaviors then replay
+//! through one sequential store in the canonical record order the round
+//! engine fixed, on the caller's thread: the crate spawns none. The
+//! differential suite proves every run, and every replayed frame,
+//! bit-identical to the oracle: the plain round loop that never replays
+//! (`hotpath::simulate_oracle`).
 //!
 //! The compile phase (task-graph derivation, list scheduling, round
 //! tables) is split from the run phase: [`CompiledNetwork`] reifies it as
@@ -38,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod behavior;
 mod cancel;
 mod compile;
 mod exectime;

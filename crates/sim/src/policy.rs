@@ -29,18 +29,15 @@
 //! frame. Under the [`ExecTimeModel::Wcet`] model a frame whose exact
 //! carry-in matches an earlier frame's is replayed from the frame memo,
 //! shifted by the whole hyperperiods between them, instead of recomputed
-//! (see `FrameMemo`). The configuration only chooses how the behaviors
-//! replay afterwards: through the sequential store, or sharded over
-//! [`SimConfig::behavior_workers`] threads (`crate::behavior`). Both
-//! consume the same canonical record order, so both yield the same
-//! [`SimRun`].
+//! (see `FrameMemo`). The behaviors then replay through one sequential
+//! store in the canonical record order, whichever loop produced the
+//! records.
 
 use std::error::Error;
 use std::fmt;
 
 use fppn_core::{
-    BehaviorBank, ExecError, ExecState, Fppn, NetworkError, Observables, ProcessId,
-    SharedChannels, Stimuli,
+    BehaviorBank, ExecError, ExecState, Fppn, NetworkError, Observables, ProcessId, Stimuli,
 };
 use fppn_taskgraph::{DerivedTaskGraph, JobId, TaskGraph};
 use fppn_sched::StaticSchedule;
@@ -63,16 +60,6 @@ pub struct SimConfig {
     pub overhead: OverheadModel,
     /// Actual-execution-time model.
     pub exec_time: ExecTimeModel,
-    /// Behavior-execution threads. `0` (the default) replays every
-    /// behavior through one sequential store. `n ≥ 1` runs the *sharded
-    /// data plane*: processes are dealt to `n` threads, each executing its
-    /// jobs against a per-process shard and rendezvousing on per-process
-    /// progress counters derived from the static channel-dependency map.
-    /// Networks the sharded store cannot express (bounded-capacity
-    /// cross-process FIFOs) fall back to the sequential store. Every
-    /// setting is bit-identical (Prop. 4.1: observables do not depend on
-    /// execution order).
-    pub behavior_workers: usize,
 }
 
 impl Default for SimConfig {
@@ -81,7 +68,6 @@ impl Default for SimConfig {
             frames: 1,
             overhead: OverheadModel::NONE,
             exec_time: ExecTimeModel::Wcet,
-            behavior_workers: 0,
         }
     }
 }
@@ -580,7 +566,7 @@ impl<'a> RoundEngine<'a> {
     }
 
     /// Arms cooperative cancellation: the round loop polls `token` at
-    /// round-scan / frame boundaries, the data plane per behavior job, and
+    /// round-scan / frame boundaries, the behavior replay per job, and
     /// both return [`SimError::Cancelled`] once it trips.
     pub(crate) fn set_cancel(&mut self, token: &'a CancelToken) {
         self.cancel = Some(token);
@@ -925,9 +911,8 @@ impl<'a> RoundEngine<'a> {
 
     /// Sorts `records` into the canonical total order `(completion, frame,
     /// topological position)` and assigns each executed round its global
-    /// invocation count — a pure function of that order, so both data
-    /// planes see identical job identities. The topological positions are
-    /// borrowed from the compile-phase tables.
+    /// invocation count, a pure function of that order. The topological
+    /// positions are borrowed from the compile-phase tables.
     fn canonicalize(&self, net: &Fppn, records: &mut [JobRecord]) {
         let topo_pos = &self.tables.topo_pos;
         let key = |r: &JobRecord| (r.completion, r.frame, topo_pos[r.job.index()] as u32);
@@ -959,8 +944,7 @@ impl<'a> RoundEngine<'a> {
         }
 
         // Global invocation counts are a pure function of the canonical
-        // order; assigning them up front lets the sharded executor know
-        // every job's identity before any behavior runs.
+        // order, assigned before any behavior runs.
         let mut counts = vec![0u64; net.process_count()];
         for rec in records.iter_mut() {
             if rec.skipped {
@@ -972,9 +956,8 @@ impl<'a> RoundEngine<'a> {
         }
     }
 
-    /// Sorts the records canonically, runs the behaviors (sequentially, or
-    /// sharded across `behavior_workers` threads when non-zero), renders
-    /// the Gantt and accumulates the statistics.
+    /// Sorts the records canonically, runs the behaviors through the
+    /// sequential store, renders the Gantt and accumulates the statistics.
     ///
     /// The canonical order `(completion, frame, topological position)` is a
     /// *total* order on rounds (the topological position is unique per job
@@ -988,42 +971,27 @@ impl<'a> RoundEngine<'a> {
         bank: &BehaviorBank,
         stimuli: &Stimuli,
         mut records: Vec<JobRecord>,
-        behavior_workers: usize,
     ) -> Result<SimRun, SimError> {
         self.canonicalize(net, &mut records);
 
-        // Execute behaviors in the precedence-consistent canonical order:
-        // sharded over the worker pool when requested and expressible,
-        // else through the sequential store.
-        let observables = if behavior_workers > 0 && SharedChannels::supports(net) {
-            crate::behavior::run_behaviors_sharded(
-                net,
-                bank,
-                stimuli,
-                &records,
-                behavior_workers,
-                self.cancel,
-            )?
-        } else {
-            let mut behaviors = bank.instantiate();
-            let mut state = ExecState::new(net, stimuli);
-            for (done, rec) in records.iter().enumerate() {
-                // Behaviors are where wall-clock time actually goes, so the
-                // data plane polls per job — the round loop's per-scan check
-                // alone would never interrupt a slow behavior.
-                if self.cancelled() {
-                    return Err(SimError::Cancelled {
-                        completed_rounds: done,
-                    });
-                }
-                if rec.skipped {
-                    continue;
-                }
-                state.run_job(&mut behaviors, rec.process, rec.global_k, rec.invoked_at)?;
+        // Execute behaviors in the precedence-consistent canonical order.
+        let mut behaviors = bank.instantiate();
+        let mut state = ExecState::new(net, stimuli);
+        for (done, rec) in records.iter().enumerate() {
+            // Behaviors are where wall-clock time actually goes, so the
+            // replay polls per job: the round loop's per-scan check alone
+            // would never interrupt a slow behavior.
+            if self.cancelled() {
+                return Err(SimError::Cancelled {
+                    completed_rounds: done,
+                });
             }
-            state.into_observables()
-        };
-        Ok(self.render(net, records, observables))
+            if rec.skipped {
+                continue;
+            }
+            state.run_job(&mut behaviors, rec.process, rec.global_k, rec.invoked_at)?;
+        }
+        Ok(self.render(net, records, state.into_observables()))
     }
 
     /// Renders the [`SimRun`] from canonically-ordered records (with
@@ -1130,9 +1098,8 @@ pub fn simulate(
 }
 
 /// One run against borrowed compile-phase tables: bind the round engine,
-/// compute every round, then canonicalize, run the behaviors on the data
-/// plane `config.behavior_workers` selects, and render. Every public entry
-/// point is a wrapper over this.
+/// compute every round, then canonicalize, run the behaviors and render.
+/// Every public entry point is a wrapper over this.
 ///
 /// With a caller-owned `scratch` the round buffers and memo entries stay
 /// warm for the next run (the records move into the returned [`SimRun`]);
@@ -1164,7 +1131,7 @@ pub(crate) fn run(
             scratch.records
         }
     };
-    engine.finalize(net, bank, stimuli, records, config.behavior_workers)
+    engine.finalize(net, bank, stimuli, records)
 }
 
 #[cfg(test)]
@@ -1435,36 +1402,72 @@ mod tests {
         assert_eq!(run.records.len(), 8);
     }
 
+    /// The two ways the behavior replay ends a run early: a failing
+    /// behavior comes out of `simulate` as `SimError::Exec` with its
+    /// detail, and a token that trips once every round exists cancels the
+    /// replay before its first job.
     #[test]
-    fn workers_field_resolution() {
-        // The default is the sequential store; any thread budget routes to
-        // the sharded data plane and must change nothing observable.
-        assert_eq!(SimConfig::default().behavior_workers, 0);
+    fn behavior_error_or_cancel_ends_the_replay_typed() {
+        use fppn_core::Behavior;
+        /// Returns a behavior error from its third job on.
+        struct FailFromThird;
+        impl Behavior for FailFromThird {
+            fn on_job(&mut self, ctx: &mut JobCtx<'_>) -> Result<(), ExecError> {
+                if ctx.k() < 3 {
+                    return Ok(());
+                }
+                Err(ExecError::Eval {
+                    process: "mid".into(),
+                    detail: "replay test error".into(),
+                })
+            }
+        }
+        let mut b = FppnBuilder::new();
+        let src = b.process(ProcessSpec::new("src", EventSpec::periodic(ms(50))));
+        let mid = b.process(ProcessSpec::new("mid", EventSpec::periodic(ms(50))));
+        let a = b.channel("a", src, mid, ChannelKind::Fifo);
+        b.priority(src, mid);
+        b.behavior(src, move || {
+            Box::new(move |ctx: &mut JobCtx<'_>| ctx.write(a, Value::Int(ctx.k() as i64)))
+        });
+        b.behavior(mid, || Box::new(FailFromThird));
+        let (net, bank) = b.build().unwrap();
+        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
+        let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
+        let config = SimConfig {
+            frames: 4,
+            ..SimConfig::default()
+        };
+        let outcome = simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &config);
+        assert!(
+            matches!(&outcome, Err(SimError::Exec(ExecError::Eval { detail, .. }))
+                if detail == "replay test error"),
+            "{:?}",
+            outcome.map(|r| r.stats)
+        );
+
         let (net, bank) = chain_app();
         let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
         let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
-        let base = SimConfig {
-            frames: 3,
-            ..SimConfig::default()
-        };
-        let seq = simulate(&net, &bank, &Stimuli::new(), &derived, &schedule, &base).unwrap();
-        for behavior_workers in [1usize, 3] {
-            let sharded = simulate(
-                &net,
-                &bank,
-                &Stimuli::new(),
-                &derived,
-                &schedule,
-                &SimConfig {
-                    behavior_workers,
-                    ..base
-                },
-            )
-            .unwrap();
-            assert_eq!(seq.records, sharded.records, "{behavior_workers} workers");
-            assert_eq!(seq.observables, sharded.observables, "{behavior_workers} workers");
-            assert_eq!(seq.gantt, sharded.gantt, "{behavior_workers} workers");
-        }
+        let tables = StaticTables::build(&net, &derived, &schedule);
+        let stimuli = Stimuli::new();
+        let mut engine = RoundEngine::new(&net, &stimuli, &derived, &tables, &config).unwrap();
+        let mut scratch = RoundScratch::new();
+        engine.compute_rounds_into(&mut scratch, None).unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        engine.set_cancel(&token);
+        let outcome = engine.finalize(&net, &bank, &stimuli, scratch.records);
+        assert!(
+            matches!(
+                outcome,
+                Err(SimError::Cancelled {
+                    completed_rounds: 0
+                })
+            ),
+            "a pre-tripped token must cancel the replay before any job: {:?}",
+            outcome.map(|r| r.stats)
+        );
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Differential test-suite: every execution configuration against the
-//! sequential oracle (the same pattern that proves the event-driven
-//! scheduler against `list_schedule_naive`).
+//! Differential test-suite: the default run against the sequential
+//! oracle (the same pattern that proves the event-driven scheduler against
+//! `list_schedule_naive`).
 //!
-//! The oracle is [`simulate_oracle`] on the sequential behavior store: the
-//! plain free-interleave round loop, which never replays a frame. Every
-//! other setting — the sharded data plane at 1, 2, 4 and 8 threads
-//! (`SimConfig::behavior_workers`), each through the oracle seam and
-//! through the default [`simulate`] with its frame memo — must be
+//! The oracle is [`simulate_oracle`]: the plain free-interleave round
+//! loop, which never replays a frame. The default [`simulate`], with its
+//! frame memo, and the compiled artifact's entry points must be
 //! bit-identical to it on every component of a [`SimRun`]: the per-round
 //! [`fppn_sim::JobRecord`]s (exact rational times, processors, ranks), the
 //! Gantt segments, the statistics and the observables — across random
@@ -41,86 +39,26 @@ fn assert_bit_identical(seq: &SimRun, par: &SimRun, label: &str) {
     assert_eq!(seq.stats, par.stats, "{label}: stats diverged");
 }
 
-/// The data-plane thread budgets the suite sweeps: `0` is the sequential
-/// store, the rest the sharded plane.
-const BEHAVIOR_WORKERS: [usize; 5] = [0, 1, 2, 4, 8];
-
-/// One execution setting: a data-plane thread budget, run through the
-/// oracle seam's plain round loop or through the default memoized one.
-#[derive(Debug, Clone, Copy)]
-struct Setting {
-    behavior_workers: usize,
-    oracle: bool,
-}
-
-/// The reference setting: the oracle seam on the sequential store.
-const ORACLE: Setting = Setting {
-    behavior_workers: 0,
-    oracle: true,
-};
-
-impl Setting {
-    /// Runs one simulation under this setting over `base`'s semantic fields.
-    fn simulate(
-        self,
-        net: &Fppn,
-        bank: &BehaviorBank,
-        stimuli: &Stimuli,
-        derived: &DerivedTaskGraph,
-        schedule: &StaticSchedule,
-        base: SimConfig,
-    ) -> Result<SimRun, SimError> {
-        let config = SimConfig {
-            behavior_workers: self.behavior_workers,
-            ..base
-        };
-        if self.oracle {
-            simulate_oracle(net, bank, stimuli, derived, schedule, &config)
-        } else {
-            simulate(net, bank, stimuli, derived, schedule, &config)
-        }
-    }
-}
-
-/// Every non-oracle execution setting: [`BEHAVIOR_WORKERS`] × {oracle
-/// seam, default}, minus [`ORACLE`] itself.
-fn sweep_settings() -> impl Iterator<Item = Setting> {
-    BEHAVIOR_WORKERS
-        .into_iter()
-        .flat_map(|behavior_workers| {
-            [true, false].map(|oracle| Setting {
-                behavior_workers,
-                oracle,
-            })
-        })
-        .filter(|s| s.behavior_workers != 0 || !s.oracle)
-}
-
-/// Runs the oracle and every [`sweep_settings`] setting of one simulation
-/// and asserts each bit-identical to the oracle. Returns the oracle run.
-fn assert_sweep_matches_oracle(
+/// Runs the oracle seam and the default [`simulate`] on one simulation
+/// and asserts them bit-identical.
+fn assert_default_matches_oracle(
     net: &Fppn,
     bank: &BehaviorBank,
     stimuli: &Stimuli,
     derived: &DerivedTaskGraph,
     schedule: &StaticSchedule,
-    base: SimConfig,
+    config: SimConfig,
     label: &str,
-) -> SimRun {
-    let oracle = ORACLE
-        .simulate(net, bank, stimuli, derived, schedule, base)
-        .expect("sequential oracle");
-    for setting in sweep_settings() {
-        let run = setting
-            .simulate(net, bank, stimuli, derived, schedule, base)
-            .unwrap_or_else(|e| panic!("{label} {setting:?}: {e}"));
-        assert_bit_identical(&oracle, &run, &format!("{label} {setting:?}"));
-    }
-    oracle
+) {
+    let oracle =
+        simulate_oracle(net, bank, stimuli, derived, schedule, &config).expect("sequential oracle");
+    let run = simulate(net, bank, stimuli, derived, schedule, &config)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_bit_identical(&oracle, &run, label);
 }
 
-/// One workload, every axis: processors × exec-time models × overheads ×
-/// execution settings, over several frames with random stimuli.
+/// One workload, every axis: processors × exec-time models × overheads,
+/// over several frames with random stimuli.
 fn check_workload(cfg: &WorkloadConfig, density: u32, frames: u64) {
     let w = random_workload(cfg);
     let derived = derive_task_graph(&w.net, &w.wcet).expect("derivable");
@@ -141,9 +79,8 @@ fn check_workload(cfg: &WorkloadConfig, density: u32, frames: u64) {
                 frames,
                 overhead,
                 exec_time: exec,
-                ..SimConfig::default()
             };
-            assert_sweep_matches_oracle(
+            assert_default_matches_oracle(
                 &w.net,
                 &w.bank,
                 &stimuli,
@@ -187,13 +124,12 @@ fn parallel_matches_seq_at_extreme_densities() {
     }
 }
 
-/// The behavior-heavy synthetic FPPN — where the data plane dominates —
-/// across thread budgets and shapes. The third shape turns on the stimulus
-/// knobs (sporadic configurators + external input streams), so the
-/// server-slot machinery (windows, false slots, input consumption) runs
-/// under every setting too.
+/// The behavior-heavy synthetic FPPN — where the behavior replay
+/// dominates — across shapes. The third shape turns on the stimulus knobs
+/// (sporadic configurators + external input streams), so the server-slot
+/// machinery (windows, false slots, input consumption) runs too.
 #[test]
-fn sharded_behaviors_match_seq_on_behavior_heavy_workloads() {
+fn default_matches_oracle_on_behavior_heavy_workloads() {
     for (label, fppn_cfg) in [
         (
             "layered",
@@ -251,7 +187,7 @@ fn sharded_behaviors_match_seq_on_behavior_heavy_workloads() {
         };
         for m in [1usize, 2, 4] {
             let schedule = list_schedule(&derived.graph, m, Heuristic::AlapEdf);
-            assert_sweep_matches_oracle(
+            assert_default_matches_oracle(
                 &w.net,
                 &w.bank,
                 &stimuli,
@@ -266,7 +202,7 @@ fn sharded_behaviors_match_seq_on_behavior_heavy_workloads() {
 
 /// Every adversarial stimulus class (boundary-aligned bursts,
 /// maximal-density floods, arrival-tie storms, late/extreme inputs)
-/// under every execution setting, *with a runtime-overhead model active* —
+/// through the default run, *with a runtime-overhead model active* —
 /// the axis the property campaign (`tests/properties.rs`) leaves to this
 /// suite. Window-edge arrivals under overhead-shifted completions are
 /// exactly where a subset-mapping or visibility bug would surface.
@@ -289,9 +225,8 @@ fn backends_agree_on_adversarial_stimuli_with_overheads() {
                     frames,
                     overhead,
                     exec_time: exec,
-                    ..SimConfig::default()
                 };
-                assert_sweep_matches_oracle(
+                assert_default_matches_oracle(
                     &w.net,
                     &w.bank,
                     &stimuli,
@@ -305,10 +240,10 @@ fn backends_agree_on_adversarial_stimuli_with_overheads() {
     }
 }
 
-/// Bounded-capacity cross-process FIFOs cannot shard: every thread budget
-/// must fall back to the sequential store, not panic or diverge.
+/// A bounded-capacity cross-process FIFO drained by a multirate reader:
+/// the default run must match the oracle, not panic or diverge.
 #[test]
-fn sharded_behaviors_fall_back_on_bounded_fifos() {
+fn bounded_fifo_workload_matches_oracle() {
     use fppn_core::{ChannelKind, ChannelSpec, EventSpec, FppnBuilder, JobCtx, ProcessSpec, Value};
     let ms = TimeQ::from_ms;
     let mut b = FppnBuilder::new();
@@ -346,24 +281,23 @@ fn sharded_behaviors_fall_back_on_bounded_fifos() {
         frames: 4,
         ..SimConfig::default()
     };
-    assert_sweep_matches_oracle(
+    assert_default_matches_oracle(
         &net,
         &bank,
         &Stimuli::new(),
         &derived,
         &schedule,
         config,
-        "bounded-fifo fallback",
+        "bounded fifo",
     );
 }
 
 /// A late upstream writer: one process with an enormous WCET feeds every
-/// consumer, and the consumers tick 8x faster, so on the sharded plane
-/// their jobs queue behind the writer's progress gate (the canonical order
-/// puts most consumer jobs after the writer's late completion). The gates
-/// must hold those jobs back without diverging from the oracle.
+/// consumer, and the consumers tick 8x faster, so the canonical order
+/// puts most consumer jobs after the writer's late completion. The
+/// default run must replay them there without diverging from the oracle.
 #[test]
-fn sharded_plane_waits_on_late_upstream_writer_without_diverging() {
+fn late_upstream_writer_matches_oracle() {
     use fppn_core::{ChannelKind, EventSpec, FppnBuilder, JobCtx, PortId, ProcessSpec, Value};
     let ms = TimeQ::from_ms;
     let mut b = FppnBuilder::new();
@@ -406,7 +340,7 @@ fn sharded_plane_waits_on_late_upstream_writer_without_diverging() {
         frames: 5,
         ..SimConfig::default()
     };
-    assert_sweep_matches_oracle(
+    assert_default_matches_oracle(
         &net,
         &bank,
         &Stimuli::new(),
@@ -418,10 +352,10 @@ fn sharded_plane_waits_on_late_upstream_writer_without_diverging() {
 }
 
 #[test]
-fn dispatcher_routes_on_config_workers() {
-    // The compiled artifact's three entry points (plain, reused scratch,
-    // armed-but-untripped cancel token) must route every
-    // `behavior_workers` setting to the same result as the oracle seam.
+fn compiled_entry_points_match_oracle() {
+    // The compiled artifact's three entry points (plain, scratch, and
+    // armed-but-untripped cancel token on the same, now warm, scratch)
+    // must give the oracle seam's result.
     let cfg = WorkloadConfig {
         periodic: 5,
         sporadic: 1,
@@ -454,27 +388,22 @@ fn dispatcher_routes_on_config_workers() {
     .expect("oracle seam");
     let mut scratch = RunScratch::new();
     let token = CancelToken::new();
-    for behavior_workers in BEHAVIOR_WORKERS {
-        let config = SimConfig {
-            behavior_workers,
-            ..base
-        };
-        let tag = format!("behavior_workers {behavior_workers}");
-        let plain = artifact.simulate(&w.bank, &stimuli, &config).expect("simulate");
-        assert_bit_identical(&oracle, &plain, &format!("{tag} simulate"));
-        let scratched = artifact
-            .simulate_with_scratch(&w.bank, &stimuli, &config, &mut scratch)
-            .expect("simulate_with_scratch");
-        assert_bit_identical(&oracle, &scratched, &format!("{tag} scratch"));
-        let armed = artifact
-            .simulate_cancellable(&w.bank, &stimuli, &config, &mut scratch, &token)
-            .expect("simulate_cancellable");
-        assert_bit_identical(&oracle, &armed, &format!("{tag} cancellable"));
-    }
+    let plain = artifact
+        .simulate(&w.bank, &stimuli, &base)
+        .expect("simulate");
+    assert_bit_identical(&oracle, &plain, "simulate");
+    let scratched = artifact
+        .simulate_with_scratch(&w.bank, &stimuli, &base, &mut scratch)
+        .expect("simulate_with_scratch");
+    assert_bit_identical(&oracle, &scratched, "scratch");
+    let armed = artifact
+        .simulate_cancellable(&w.bank, &stimuli, &base, &mut scratch, &token)
+        .expect("simulate_cancellable");
+    assert_bit_identical(&oracle, &armed, "cancellable");
 }
 
 /// The compile-once artifact against fresh per-call compiles, under every
-/// execution setting and every adversarial stimulus class: a cached
+/// adversarial stimulus class: a cached
 /// [`CompiledNetwork`] reused for many runs (with a reused [`RunScratch`])
 /// must be bit-identical to [`simulate`], which re-derives the round
 /// tables on every call. This is the cache-identity half of the serve
@@ -508,29 +437,21 @@ fn compiled_artifact_matches_fresh_compile_across_backends() {
                 frames,
                 exec_time: ExecTimeModel::typical_jitter(0xCAFE),
                 overhead: OverheadModel::constant(TimeQ::from_ms(7)),
-                ..SimConfig::default()
             };
             let tag = format!("{label} {}", class.name());
             // Fresh compile path: the one-shot entry point.
             let fresh = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &config)
                 .expect("fresh sequential");
-            // Cache-hit path, every setting against the one artifact.
-            for behavior_workers in BEHAVIOR_WORKERS {
-                let run_cfg = SimConfig {
-                    behavior_workers,
-                    ..config
-                };
-                let setting = format!("behavior_workers {behavior_workers}");
-                let cached = artifact
-                    .simulate(&w.bank, &stimuli, &run_cfg)
-                    .expect("cached artifact run");
-                assert_bit_identical(&fresh, &cached, &format!("{tag} cached {setting}"));
-                // The serve worker path: scratch reused across runs & classes.
-                let scratched = artifact
-                    .simulate_with_scratch(&w.bank, &stimuli, &run_cfg, &mut scratch)
-                    .expect("scratch run");
-                assert_bit_identical(&fresh, &scratched, &format!("{tag} scratch {setting}"));
-            }
+            // Cache-hit path against the one artifact.
+            let cached = artifact
+                .simulate(&w.bank, &stimuli, &config)
+                .expect("cached artifact run");
+            assert_bit_identical(&fresh, &cached, &format!("{tag} cached"));
+            // The serve worker path: scratch reused across runs & classes.
+            let scratched = artifact
+                .simulate_with_scratch(&w.bank, &stimuli, &config, &mut scratch)
+                .expect("scratch run");
+            assert_bit_identical(&fresh, &scratched, &format!("{tag} scratch"));
         }
     }
 }
@@ -614,10 +535,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Seed-pinned differential property: random workload shapes, random
-    /// sporadic densities, random exec-time seeds, every execution
-    /// setting against the oracle.
+    /// sporadic densities, random exec-time seeds, the default run against
+    /// the oracle.
     #[test]
-    fn sharded_plane_equals_sequential_store(
+    fn default_run_equals_oracle(
         periodic in 2usize..6,
         sporadic in 0usize..3,
         density in 0u32..=1000,
@@ -644,13 +565,11 @@ proptest! {
             ..SimConfig::default()
         };
         let seq = simulate_oracle(&w.net, &w.bank, &stimuli, &derived, &schedule, &config).unwrap();
-        for setting in sweep_settings() {
-            let run = setting.simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, config).unwrap();
-            prop_assert_eq!(&seq.records, &run.records);
-            prop_assert_eq!(&seq.observables, &run.observables);
-            prop_assert_eq!(&seq.gantt, &run.gantt);
-            prop_assert_eq!(&seq.stats, &run.stats);
-        }
+        let run = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &config).unwrap();
+        prop_assert_eq!(&seq.records, &run.records);
+        prop_assert_eq!(&seq.observables, &run.observables);
+        prop_assert_eq!(&seq.gantt, &run.gantt);
+        prop_assert_eq!(&seq.stats, &run.stats);
     }
 
     /// Content-hash stability: rebuilding the same random workload from
@@ -686,8 +605,8 @@ proptest! {
 }
 
 /// Frame memoization differential sweep: the default run, which replays
-/// repeated frames from the memo, must stay bit-identical on both data
-/// planes to the oracle seam, which never replays — across the adversarial
+/// repeated frames from the memo, must stay bit-identical to the oracle
+/// seam, which never replays — across the adversarial
 /// stimulus classes (sporadic bursts, floods, tie storms, external inputs),
 /// frame counts spanning no reuse (1) through heavy reuse (32), and both
 /// the replaying exec model (`Wcet`) and a stochastic one that computes
@@ -720,19 +639,9 @@ fn memo_on_is_bit_identical_to_memo_off_across_backends() {
                     let oracle =
                         simulate_oracle(&w.net, &w.bank, &stimuli, &derived, &schedule, &base)
                             .expect("oracle seam");
-                    for behavior_workers in [0usize, 4] {
-                        let on = SimConfig {
-                            behavior_workers,
-                            ..base
-                        };
-                        let run = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &on)
-                            .expect("default run");
-                        assert_bit_identical(
-                            &oracle,
-                            &run,
-                            &format!("{tag} behavior_workers {behavior_workers}"),
-                        );
-                    }
+                    let run = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &base)
+                        .expect("default run");
+                    assert_bit_identical(&oracle, &run, &tag);
                 }
             }
         }

@@ -17,10 +17,9 @@
 //!    flood) must never increase the response time of a job present in
 //!    both runs, nor introduce a deadline miss on such a job.
 //! 3. **Robustness (Prop. 4.1)**: the observable traces are invariant
-//!    across the execution settings (sequential store or sharded data
-//!    plane, oracle round loop or default memoized one) under every
-//!    adversarial stimulus class, and invariant under the execution-time
-//!    variation of the shrink chain.
+//!    across the execution settings (oracle round loop or default memoized
+//!    one) under every adversarial stimulus class, and invariant under the
+//!    execution-time variation of the shrink chain.
 //!
 //! All stimuli come from `stimgen::adversarial` — seed-pinned SplitMix64
 //! streams aimed at window boundaries, maximal densities, cross-process
@@ -252,9 +251,8 @@ fn assert_sustainable(p: &Prepared, m: usize, exec: ExecTimeModel, label: &str) 
     }
 }
 
-/// Property 3: every execution setting — `behavior_workers` ∈ {0, 4} ×
-/// {oracle seam, default memoized loop} — produces a run bit-identical to
-/// the oracle seam on the sequential store under an adversarial stimulus.
+/// Property 3: the default memoized loop produces a run bit-identical to
+/// the oracle seam under an adversarial stimulus.
 fn assert_backends_agree(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, exec: ExecTimeModel, label: &str) {
     let schedule = list_schedule(&p.derived.graph, m, Heuristic::AlapEdf);
     let config = SimConfig {
@@ -264,26 +262,15 @@ fn assert_backends_agree(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, e
     };
     let seq = simulate_oracle(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
         .expect("sequential oracle");
-    for (behavior_workers, oracle) in [(0usize, false), (4, true), (4, false)] {
-        let config = SimConfig {
-            behavior_workers,
-            ..config
-        };
-        let run = if oracle {
-            simulate_oracle(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
-        } else {
-            simulate(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
-        }
-        .expect("non-oracle setting");
-        let setting = format!("behavior_workers {behavior_workers} oracle {oracle}");
-        assert_eq!(seq.records, run.records, "{label} [{setting}]: records diverged");
-        assert_eq!(
-            seq.observables, run.observables,
-            "{label} [{setting}]: observables diverged"
-        );
-        assert_eq!(seq.gantt, run.gantt, "{label} [{setting}]: gantt diverged");
-        assert_eq!(seq.stats, run.stats, "{label} [{setting}]: stats diverged");
-    }
+    let run = simulate(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
+        .expect("default run");
+    assert_eq!(seq.records, run.records, "{label}: records diverged");
+    assert_eq!(
+        seq.observables, run.observables,
+        "{label}: observables diverged"
+    );
+    assert_eq!(seq.gantt, run.gantt, "{label}: gantt diverged");
+    assert_eq!(seq.stats, run.stats, "{label}: stats diverged");
 }
 
 fn campaign_workloads() -> Vec<(String, Prepared)> {

@@ -12,7 +12,9 @@
 
 use fppn_core::{Fppn, Stimuli};
 use fppn_sched::StaticSchedule;
-use fppn_taskgraph::{wrap_predecessors, DerivedTaskGraph, JobId, RoundResolution};
+use fppn_taskgraph::{
+    wrap_predecessors, DerivedTaskGraph, FrameCountError, JobId, RoundResolution,
+};
 use fppn_time::TimeQ;
 
 use crate::model::{Guard, TaEdge, TaNetwork, TimedAutomaton};
@@ -55,20 +57,25 @@ pub struct JobTiming {
 ///
 /// Like the paper's generator, the translation bakes the schedule and the
 /// event timestamps into guard constants; execution times are the WCETs.
+///
+/// # Errors
+///
+/// Returns [`FrameCountError`] when `frames` rounds of the task graph
+/// cannot be held in memory, before any automaton is built.
 pub fn translate(
     net: &Fppn,
     derived: &DerivedTaskGraph,
     schedule: &StaticSchedule,
     stimuli: &Stimuli,
     frames: u64,
-) -> Translation {
+) -> Result<Translation, FrameCountError> {
     let graph = &derived.graph;
     let n_jobs = graph.job_count();
-    let resolution = RoundResolution::resolve(net, derived, stimuli, frames);
+    let resolution = RoundResolution::resolve(net, derived, stimuli, frames)?;
     let wraps = wrap_predecessors(net, derived);
 
     let mut network = TaNetwork::new();
-    // done variable per (frame, job).
+    // done variable per (frame, job); the resolution checked the product.
     let mut done = Vec::with_capacity(frames as usize * n_jobs);
     for f in 0..frames {
         for j in 0..n_jobs {
@@ -147,7 +154,7 @@ pub fn translate(
         }
         network.add(b.build());
     }
-    Translation { network, rounds }
+    Ok(Translation { network, rounds })
 }
 
 /// Recovers per-job-instance timings from a simulation trace of a
@@ -218,7 +225,7 @@ mod tests {
         let net = pipeline();
         let derived = derive_task_graph(&net, &WcetModel::uniform(ms(30))).unwrap();
         let schedule = list_schedule(&derived.graph, 1, Heuristic::AlapEdf);
-        let t = translate(&net, &derived, &schedule, &Stimuli::new(), 2);
+        let t = translate(&net, &derived, &schedule, &Stimuli::new(), 2).unwrap();
         let trace = simulate_network(&t.network, ms(1000), t.step_bound());
         let timings = extract_timings(&trace);
         assert_eq!(timings.len(), 4); // 2 jobs x 2 frames
@@ -236,7 +243,7 @@ mod tests {
         let net = pipeline();
         let derived = derive_task_graph(&net, &WcetModel::uniform(ms(30))).unwrap();
         let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
-        let t = translate(&net, &derived, &schedule, &Stimuli::new(), 1);
+        let t = translate(&net, &derived, &schedule, &Stimuli::new(), 1).unwrap();
         let trace = simulate_network(&t.network, ms(1000), t.step_bound());
         let timings = extract_timings(&trace);
         // Even on 2 processors, c must wait for a.
@@ -257,7 +264,7 @@ mod tests {
         let schedule = list_schedule(&derived.graph, 1, Heuristic::AlapEdf);
         let mut stimuli = Stimuli::new();
         stimuli.arrivals(cfg, SporadicTrace::new(vec![ms(150)]));
-        let t = translate(&net, &derived, &schedule, &stimuli, 2);
+        let t = translate(&net, &derived, &schedule, &stimuli, 2).unwrap();
         let trace = simulate_network(&t.network, ms(1000), t.step_bound());
         let timings = extract_timings(&trace);
         let skips: Vec<_> = timings.iter().filter(|t| t.skipped).collect();
@@ -266,5 +273,20 @@ mod tests {
         assert_eq!(skips.len(), 1);
         assert_eq!(execs.len(), 3); // user x2 + cfg x1
         assert_eq!(trace.stopped, crate::sim::StopReason::Quiescent);
+    }
+
+    #[test]
+    fn unholdable_frame_count_is_a_typed_error() {
+        // One job per frame: 2^60 resolved slots are past `isize::MAX`
+        // bytes, so the reservation is refused on any host without asking
+        // the allocator.
+        let mut b = FppnBuilder::new();
+        b.process(ProcessSpec::new("p", EventSpec::periodic(ms(100))));
+        let (net, _) = b.build().unwrap();
+        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
+        let schedule = list_schedule(&derived.graph, 1, Heuristic::AlapEdf);
+        let err = translate(&net, &derived, &schedule, &Stimuli::new(), 1 << 60)
+            .expect_err("2^60 frames cannot be translated");
+        assert_eq!((err.frames, err.jobs), (1 << 60, 1));
     }
 }

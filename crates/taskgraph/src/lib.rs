@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 mod analysis;
-mod channels;
 mod derive;
 mod graph;
 mod job;
@@ -48,12 +47,13 @@ mod slots;
 mod wcet;
 
 pub use analysis::{load, load_with, necessary_condition, AsapAlap, Infeasibility, LoadResult};
-pub use channels::ChannelDependencyMap;
 pub use derive::{
     derive_task_graph, derive_task_graph_unreduced, DeriveError, DerivedTaskGraph, ServerSpec,
 };
 pub use graph::TaskGraph;
 pub use job::{Job, JobId};
 pub use pipeline::unroll_for_pipelining;
-pub use slots::{wrap_predecessors, RoundResolution, SlotResolution, SlotTemplates};
+pub use slots::{
+    wrap_predecessors, FrameCountError, RoundResolution, SlotResolution, SlotTemplates,
+};
 pub use wcet::WcetModel;

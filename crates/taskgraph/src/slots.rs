@@ -8,6 +8,8 @@
 //! (`fppn-runtime`).
 
 use std::collections::BTreeMap;
+use std::error::Error;
+use std::fmt;
 
 use fppn_core::{Fppn, ProcessId, Stimuli};
 use fppn_time::TimeQ;
@@ -33,8 +35,34 @@ pub struct SlotResolution {
 /// schedule frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundResolution {
-    rounds: Vec<Vec<SlotResolution>>, // [frame][job]
+    frames: u64,
+    jobs: usize,
+    slots: Vec<SlotResolution>, // [frame * jobs + job]
 }
+
+/// A frame count whose resolution table cannot be held: `frames × jobs`
+/// overflows `usize`, or the allocator refuses the reservation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameCountError {
+    /// The requested frame count.
+    pub frames: u64,
+    /// Jobs per frame.
+    pub jobs: usize,
+    /// Why the table cannot be held.
+    pub reason: String,
+}
+
+impl fmt::Display for FrameCountError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} frames of {} jobs: {}",
+            self.frames, self.jobs, self.reason
+        )
+    }
+}
+
+impl Error for FrameCountError {}
 
 /// The stimuli-*independent* half of slot resolution: per-job templates
 /// and per-server window parameters, a pure function of the network and
@@ -262,19 +290,38 @@ impl SlotTemplates {
     }
 
     /// Materializes the full per-frame resolution table for one run.
-    pub fn resolve(&self, stimuli: &Stimuli, frames: u64) -> RoundResolution {
-        let arrivals = self.bin_arrivals(stimuli, frames);
-        let mut rounds = Vec::with_capacity(frames as usize);
-        for frame in 0..frames {
-            let frame_base = TimeQ::from_int(frame as i64) * self.hyperperiod;
-            let row = self
-                .templates
-                .iter()
-                .map(|tpl| self.resolve_slot(frame, frame_base, tpl, &arrivals))
-                .collect();
-            rounds.push(row);
-        }
-        RoundResolution { rounds }
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrameCountError`] when `frames × job_count` overflows
+    /// `usize` or the table cannot be reserved, checked before any arrival
+    /// is binned: an unchecked reservation would panic on capacity
+    /// overflow or abort the process.
+    pub fn resolve(
+        &self,
+        stimuli: &Stimuli,
+        frames: u64,
+    ) -> Result<RoundResolution, FrameCountError> {
+        let jobs = self.job_count();
+        let error = |reason: String| FrameCountError {
+            frames,
+            jobs,
+            reason,
+        };
+        let total = usize::try_from(frames)
+            .ok()
+            .and_then(|f| f.checked_mul(jobs))
+            .ok_or_else(|| error("overflows usize".to_owned()))?;
+        let mut slots = Vec::new();
+        slots
+            .try_reserve_exact(total)
+            .map_err(|e| error(e.to_string()))?;
+        self.for_each_slot(stimuli, frames, |res| slots.push(res));
+        Ok(RoundResolution {
+            frames,
+            jobs,
+            slots,
+        })
     }
 }
 
@@ -284,12 +331,17 @@ impl RoundResolution {
     /// One-shot convenience composing [`SlotTemplates::build`] and
     /// [`SlotTemplates::resolve`]; callers that resolve the same network
     /// repeatedly should build the templates once and reuse them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrameCountError`] for a frame count whose table cannot
+    /// be held (see [`SlotTemplates::resolve`]).
     pub fn resolve(
         net: &Fppn,
         derived: &DerivedTaskGraph,
         stimuli: &Stimuli,
         frames: u64,
-    ) -> Self {
+    ) -> Result<Self, FrameCountError> {
         SlotTemplates::build(net, derived).resolve(stimuli, frames)
     }
 
@@ -299,21 +351,22 @@ impl RoundResolution {
     ///
     /// Panics if `frame` or `id` is out of range.
     pub fn get(&self, frame: u64, id: JobId) -> SlotResolution {
-        self.rounds[frame as usize][id.index()]
+        assert!(
+            frame < self.frames && id.index() < self.jobs,
+            "slot ({frame}, {}) out of range",
+            id.index()
+        );
+        self.slots[frame as usize * self.jobs + id.index()]
     }
 
     /// The number of resolved frames.
     pub fn frames(&self) -> u64 {
-        self.rounds.len() as u64
+        self.frames
     }
 
     /// Count of executable instances.
     pub fn executable_count(&self) -> usize {
-        self.rounds
-            .iter()
-            .flat_map(|r| r.iter())
-            .filter(|s| s.executable)
-            .count()
+        self.slots.iter().filter(|s| s.executable).count()
     }
 }
 
@@ -388,7 +441,7 @@ mod tests {
     fn periodic_instances_always_executable() {
         let (net, user, _) = sporadic_net(true);
         let derived = derive_task_graph(&net, &WcetModel::default()).unwrap();
-        let res = RoundResolution::resolve(&net, &derived, &Stimuli::new(), 3);
+        let res = RoundResolution::resolve(&net, &derived, &Stimuli::new(), 3).unwrap();
         let u1 = derived.graph.find(user, 1).unwrap();
         for f in 0..3 {
             let r = res.get(f, u1);
@@ -405,7 +458,7 @@ mod tests {
         let derived = derive_task_graph(&net, &WcetModel::default()).unwrap();
         let mut stimuli = Stimuli::new();
         stimuli.arrivals(cfg, SporadicTrace::new(vec![ms(150)]));
-        let res = RoundResolution::resolve(&net, &derived, &stimuli, 2);
+        let res = RoundResolution::resolve(&net, &derived, &stimuli, 2).unwrap();
         let c1 = derived.graph.find(cfg, 1).unwrap();
         let c2 = derived.graph.find(cfg, 2).unwrap();
         // Arrival 150 -> subset at b = 200 (frame 1, subset 0).
@@ -427,7 +480,7 @@ mod tests {
             let derived = derive_task_graph(&net, &WcetModel::default()).unwrap();
             let mut stimuli = Stimuli::new();
             stimuli.arrivals(cfg, SporadicTrace::new(vec![ms(200)]));
-            let res = RoundResolution::resolve(&net, &derived, &stimuli, 3);
+            let res = RoundResolution::resolve(&net, &derived, &stimuli, 3).unwrap();
             let c1 = derived.graph.find(cfg, 1).unwrap();
             for f in 0..3 {
                 assert_eq!(

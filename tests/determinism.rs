@@ -2,8 +2,8 @@
 //! applications and random workloads, every execution backend — zero-delay
 //! reference (both FP linearizations), the discrete-event simulator (any
 //! processor count, any execution-time draw, with and without overhead,
-//! on either data plane, through the oracle round loop and the default
-//! memoized one) and the multi-threaded runtime — produces identical
+//! through the oracle round loop and the default memoized one) and the
+//! multi-threaded runtime — produces identical
 //! observable value sequences for identical stimuli.
 
 use fppn::apps::{fft_network, fft_wcet, fig1_network, fig1_wcet, random_workload, WorkloadConfig};
@@ -55,14 +55,12 @@ fn assert_all_backends_agree(
                 (ExecTimeModel::typical_jitter(7), OverheadModel::NONE),
                 (ExecTimeModel::Wcet, OverheadModel::constant(TimeQ::from_ms(5))),
             ] {
-                // The oracle seam on the sequential store, and the default
-                // memoized loop on the sharded data plane.
-                for (behavior_workers, oracle) in [(0usize, true), (2, false)] {
+                // The oracle seam and the default memoized loop.
+                for oracle in [true, false] {
                     let config = SimConfig {
                         frames,
                         overhead,
                         exec_time: exec,
-                        behavior_workers,
                     };
                     let run = if oracle {
                         simulate_oracle(net, bank, &stimuli, &derived, &schedule, &config)
@@ -74,7 +72,7 @@ fn assert_all_backends_agree(
                         run.observables.diff(&reference),
                         None,
                         "{label}: sim diverged ({processors} procs, {heuristic}, {exec:?}, \
-                         {overhead:?}, behavior_workers {behavior_workers}, oracle {oracle})"
+                         {overhead:?}, oracle {oracle})"
                     );
                 }
             }

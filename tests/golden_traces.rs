@@ -48,30 +48,21 @@ fn render(net: &Fppn, obs: &Observables) -> String {
 }
 
 /// Runs one simulation under every execution setting a golden trace must
-/// reproduce under: `behavior_workers` ∈ {0, 4}, each through the oracle
-/// seam's plain round loop and through the default memoized one.
+/// reproduce under: the oracle seam's plain round loop and the default
+/// memoized one.
 fn simulate_every_setting(
     net: &Fppn,
     bank: &BehaviorBank,
     stimuli: &Stimuli,
     derived: &DerivedTaskGraph,
     schedule: &StaticSchedule,
-    base: SimConfig,
-) -> Vec<SimRun> {
-    [0, 4]
-        .into_iter()
-        .flat_map(|behavior_workers| {
-            let config = SimConfig {
-                behavior_workers,
-                ..base
-            };
-            [
-                simulate_oracle(net, bank, stimuli, derived, schedule, &config),
-                simulate(net, bank, stimuli, derived, schedule, &config),
-            ]
-        })
-        .map(|run| run.expect("simulation"))
-        .collect()
+    config: SimConfig,
+) -> [SimRun; 2] {
+    [
+        simulate_oracle(net, bank, stimuli, derived, schedule, &config),
+        simulate(net, bank, stimuli, derived, schedule, &config),
+    ]
+    .map(|run| run.expect("simulation"))
 }
 
 fn check(label: &str, net: &Fppn, obs: &Observables, expected: &str) {
@@ -106,9 +97,8 @@ fn fig1_zero_delay_trace_is_pinned() {
 
 /// The simulator must reproduce the *pinned* traces — not merely agree
 /// with the reference of the same build — under every execution setting,
-/// the sharded data plane included, so a semantics drift in the rounds or
-/// the data plane cannot hide behind a matching drift in the zero-delay
-/// executor.
+/// so a semantics drift in the rounds or the behavior replay cannot hide
+/// behind a matching drift in the zero-delay executor.
 #[test]
 fn parallel_backend_reproduces_golden_traces() {
     // Fig. 1, same stimulus as the pinned reference, 4 frames.
@@ -150,8 +140,8 @@ fn parallel_backend_reproduces_golden_traces() {
 /// Adversarial-stimulus golden traces on the paper's Fig. 1 network: the
 /// observable sequences under a boundary-aligned burst, a maximal-density
 /// flood and an arrival-tie storm (seed-pinned) are snapshot-pinned, and
-/// every execution setting — sequential store or sharded data plane, oracle
-/// seam or default memoized loop — must reproduce them exactly. This extends the
+/// both execution settings — oracle seam and default memoized loop — must
+/// reproduce them exactly. This extends the
 /// uniform-stimulus snapshots above to the stimuli that actually sit on
 /// the server-window edge cases.
 #[test]

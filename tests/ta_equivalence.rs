@@ -37,7 +37,7 @@ fn assert_ta_matches_sim(
     )
     .unwrap();
 
-    let translation = translate(net, &derived, &schedule, &stimuli, frames);
+    let translation = translate(net, &derived, &schedule, &stimuli, frames).expect("translates");
     let horizon = TimeQ::from_int(frames as i64 + 1) * derived.hyperperiod;
     let trace = simulate_network(&translation.network, horizon, translation.step_bound());
     assert_eq!(trace.stopped, StopReason::Quiescent, "{label}: TA must finish");
