@@ -6,8 +6,8 @@
 //! graph, and pushes synthetic layered DAGs to 100k jobs across every
 //! heuristic. Its simulation sweep times the oracle seam against the
 //! default memoized run on FMS, checking bit-identity on every run; its
-//! medians go to `BENCH_sim.json`, the file CI's `bench_diff` gate
-//! compares with the committed baseline.
+//! medians go to `BENCH_sim.new.json`, the file CI's `bench_diff` gate
+//! compares with the committed baseline `BENCH_sim.json`.
 //!
 //! Flags (all optional):
 //!
@@ -19,11 +19,14 @@
 //! * `--sim-frames N` — schedule frames per simulation measurement
 //!   (default 8; the ~100k-round tier scales this ×4),
 //! * `--bench-reps N` — repetitions per simulation measurement; the
-//!   **median** is reported (default 3 — single draws on a shared box are
-//!   too noisy for the `bench_diff` regression gate),
+//!   **median** is reported (default 5, as in CI and the committed
+//!   baseline — single draws on a shared box are too noisy for the
+//!   `bench_diff` regression gate),
 //! * `--bench-json PATH` — where to write the machine-readable simulation
-//!   measurements (default `BENCH_sim.json`; CI diffs this against the
-//!   committed baseline with `bench_diff --relative-to seq_ms`).
+//!   measurements (default `BENCH_sim.new.json`, git-ignored; CI diffs it
+//!   against the committed baseline `BENCH_sim.json` with
+//!   `bench_diff --relative-to seq_ms`, and only a deliberate baseline
+//!   refresh passes `--bench-json BENCH_sim.json`).
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -99,19 +102,33 @@ fn write_bench_json(path: &str, records: &[BenchRecord]) {
     }
 }
 
-/// Runs `f` `reps` times and returns the last result with the **median**
-/// wall time, so the `bench_diff` gate compares stable numbers instead of
-/// single draws.
-fn median_timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
-    let mut times = Vec::with_capacity(reps);
-    let mut last = None;
+/// Runs `a` and `b` `reps` times each, interleaved (a, b, a, b, …), and
+/// returns the last result of each with its **median** wall time, so the
+/// `bench_diff` gate compares stable numbers instead of single draws. The
+/// gate scores the ratio of the two columns; interleaving puts a load
+/// spike on both alike instead of on one batch.
+fn median_timed_pair<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> ((A, Duration), (B, Duration)) {
+    let (mut times_a, mut times_b) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    let (mut last_a, mut last_b) = (None, None);
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        last = Some(f());
-        times.push(t0.elapsed());
+        last_a = Some(a());
+        times_a.push(t0.elapsed());
+        let t1 = Instant::now();
+        last_b = Some(b());
+        times_b.push(t1.elapsed());
     }
-    times.sort_unstable();
-    (last.expect("reps >= 1"), times[times.len() / 2])
+    times_a.sort_unstable();
+    times_b.sort_unstable();
+    let mid = times_a.len() / 2;
+    (
+        (last_a.expect("reps >= 1"), times_a[mid]),
+        (last_b.expect("reps >= 1"), times_b[mid]),
+    )
 }
 
 fn measure(label: &str, net: &fppn_core::Fppn, wcet: &fppn_taskgraph::WcetModel) {
@@ -169,8 +186,8 @@ fn fms_speedup_check() {
 /// sweep-specific fallback.
 fn simulation_sweep(frames: u64, reps: usize, records: &mut Vec<BenchRecord>) {
     println!(
-        "\nround loop (oracle seam vs default memoized run, median of {reps}, \
-         bit-identity checked):"
+        "\nround loop (oracle seam vs default memoized run, interleaved, median of \
+         {reps}, bit-identity checked):"
     );
     let (net, bank, ids) = fms_network(FmsVariant::Original);
     let derived = derive_task_graph(&net, &fms_wcet(&ids)).expect("derivable");
@@ -211,14 +228,17 @@ fn simulation_sweep(frames: u64, reps: usize, records: &mut Vec<BenchRecord>) {
                 frames,
                 ..SimConfig::default()
             };
-            let (seq, t_seq) = median_timed(reps, || {
-                simulate_oracle(&net, &bank, &stimuli, &derived, &schedule, &cfg)
-                    .expect("oracle simulation")
-            });
-            let (memo_run, t_memo) = median_timed(reps, || {
-                simulate(&net, &bank, &stimuli, &derived, &schedule, &cfg)
-                    .expect("default simulation")
-            });
+            let ((seq, t_seq), (memo_run, t_memo)) = median_timed_pair(
+                reps,
+                || {
+                    simulate_oracle(&net, &bank, &stimuli, &derived, &schedule, &cfg)
+                        .expect("oracle simulation")
+                },
+                || {
+                    simulate(&net, &bank, &stimuli, &derived, &schedule, &cfg)
+                        .expect("default simulation")
+                },
+            );
             assert_eq!(seq.records, memo_run.records, "memo records diverged");
             assert_eq!(
                 seq.observables, memo_run.observables,
@@ -289,8 +309,8 @@ fn main() {
     let mut synthetic_jobs = 100_000usize;
     let mut budget_ms = 0u64;
     let mut sim_frames = 8u64;
-    let mut bench_reps = 3usize;
-    let mut bench_json = "BENCH_sim.json".to_owned();
+    let mut bench_reps = 5usize;
+    let mut bench_json = "BENCH_sim.new.json".to_owned();
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         if flag == "--bench-json" {

@@ -42,8 +42,8 @@ pub struct StaticTables {
     /// CSR over jobs: the previous-frame (wrap-around) predecessors.
     pub(crate) wrap_pred_data: Vec<JobId>,
     pub(crate) wrap_pred_bounds: Vec<usize>,
-    /// Topological position of every job — the third component of the
-    /// canonical record key `(completion, frame, topo)`.
+    /// Topological position of every job — the last component of the
+    /// canonical record key (see `crate::order`).
     pub(crate) topo_pos: Vec<usize>,
     /// Stimuli-independent half of slot resolution.
     pub(crate) templates: SlotTemplates,

@@ -1,8 +1,15 @@
-//! Gantt charts of simulated executions (Fig. 6's presentation).
+//! Gantt charts of simulated executions (Fig. 6's presentation): one busy
+//! interval per executed job or frame overhead, on its processor row; and
+//! [`render`], which builds a finished run's chart and statistics from its
+//! canonically ordered records.
 
 use std::fmt;
 
+use fppn_core::Observables;
 use fppn_time::TimeQ;
+
+use crate::overhead::OverheadModel;
+use crate::policy::{JobRecord, SimRun, SimStats};
 
 /// What a Gantt segment represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,8 +26,6 @@ pub struct Segment {
     /// Processor row (application processors first; the runtime overhead
     /// row, if any, comes last).
     pub processor: usize,
-    /// Human-readable label, e.g. `FilterA[2]@1` (`process[k]@frame`).
-    pub label: String,
     /// Segment start (absolute simulation time).
     pub start: TimeQ,
     /// Segment end.
@@ -107,25 +112,6 @@ impl Gantt {
         }
         out
     }
-
-    /// Renders a per-segment CSV: `processor,label,start,end,kind`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("processor,label,start_ms,end_ms,kind\n");
-        for s in &self.segments {
-            out.push_str(&format!(
-                "{},{},{},{},{}\n",
-                s.processor,
-                s.label,
-                s.start.to_f64(),
-                s.end.to_f64(),
-                match s.kind {
-                    SegmentKind::Job => "job",
-                    SegmentKind::Overhead => "overhead",
-                }
-            ));
-        }
-        out
-    }
 }
 
 impl fmt::Display for Gantt {
@@ -140,6 +126,66 @@ impl fmt::Display for Gantt {
     }
 }
 
+/// Renders the [`SimRun`] of `frames` frames of hyperperiod `h` on
+/// `processors` processors from canonically-ordered records (with
+/// `global_k` assigned) and already-computed observables: the Gantt, then
+/// the aggregate statistics.
+pub(crate) fn render(
+    records: Vec<JobRecord>,
+    observables: Observables,
+    processors: usize,
+    overhead: OverheadModel,
+    frames: u64,
+    h: TimeQ,
+) -> SimRun {
+    // Gantt: application rows + a runtime row when overhead is modeled.
+    let overhead_row = (!overhead.is_none()) as usize;
+    let mut gantt = Gantt::new(processors + overhead_row);
+    for rec in &records {
+        if rec.skipped {
+            continue;
+        }
+        gantt.push(Segment {
+            processor: rec.processor,
+            start: rec.start,
+            end: rec.completion,
+            kind: SegmentKind::Job,
+        });
+    }
+    if overhead_row == 1 {
+        for f in 0..frames {
+            let base = TimeQ::from_int(f as i64) * h;
+            gantt.push(Segment {
+                processor: processors,
+                start: base,
+                end: base + overhead.frame_overhead(f),
+                kind: SegmentKind::Overhead,
+            });
+        }
+    }
+
+    let mut stats = SimStats::default();
+    for rec in &records {
+        if rec.skipped {
+            stats.skipped += 1;
+            continue;
+        }
+        stats.executed += 1;
+        stats.makespan = stats.makespan.max(rec.completion);
+        if rec.missed {
+            stats.deadline_misses += 1;
+            stats.max_lateness = stats.max_lateness.max(rec.completion - rec.deadline);
+        }
+    }
+
+    SimRun {
+        observables,
+        gantt,
+        records,
+        stats,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,7 +193,6 @@ mod tests {
     fn seg(m: usize, s: i64, e: i64, kind: SegmentKind) -> Segment {
         Segment {
             processor: m,
-            label: format!("j{s}"),
             start: TimeQ::from_ms(s),
             end: TimeQ::from_ms(e),
             kind,
@@ -173,15 +218,6 @@ mod tests {
         let art = g.render_ascii(TimeQ::from_ms(100), 10);
         assert!(art.starts_with("M0 |#####"));
         assert!(art.contains('.'));
-    }
-
-    #[test]
-    fn csv_export() {
-        let mut g = Gantt::new(1);
-        g.push(seg(0, 0, 25, SegmentKind::Overhead));
-        let csv = g.to_csv();
-        assert!(csv.contains("overhead"));
-        assert!(csv.lines().count() == 2);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!
 //! [`simulate_oracle`] is the other seam: the whole run through the plain
 //! free-interleave round loop, which never replays a frame. It is the
-//! reference the differential suite proves the default loop against, kept
-//! the way `list_schedule_naive` is kept for the scheduler.
+//! reference the differential suite proves the default loop against,
+//! replayed frames included, kept the way `list_schedule_naive` is kept
+//! for the scheduler.
 //!
 //! The module is `#[doc(hidden)]`: not a supported API, only a
 //! measurement and test seam.
@@ -25,9 +26,8 @@ use fppn_taskgraph::DerivedTaskGraph;
 use crate::cancel::CancelToken;
 use crate::compile::StaticTables;
 use crate::policy::{RoundEngine, RoundScratch, SimConfig, SimError, SimRun};
-use crate::JobRecord;
 
-pub use crate::policy::MEMO_MISS_BUDGET;
+pub use crate::memo::MEMO_MISS_BUDGET;
 
 /// Owns a [`RoundEngine`] plus its reusable [`RoundScratch`]: after one
 /// warm-up [`SeqRounds::compute`], further computes allocate nothing.
@@ -70,7 +70,7 @@ impl<'a> SeqRounds<'a> {
     ///
     /// Returns [`SimError::Stalled`] on a structurally invalid schedule.
     pub fn compute(&mut self) -> Result<usize, SimError> {
-        self.engine.compute_rounds_into(&mut self.scratch, None)?;
+        self.engine.compute_rounds_into(&mut self.scratch)?;
         Ok(self.scratch.records.len())
     }
 
@@ -79,25 +79,7 @@ impl<'a> SeqRounds<'a> {
     /// model); misses stop at [`MEMO_MISS_BUDGET`] per compute once the
     /// memo disengages.
     pub fn memo_stats(&self) -> (u64, u64) {
-        self.scratch.memo_stats()
-    }
-
-    /// Computes every round like [`Self::compute`], except that a memo hit
-    /// is computed live instead of replayed and pushed into `matches` as
-    /// `(frame, source frame)`; returns the records. The exact-key audit
-    /// seam: the frames of each pair must be `+k·H` translates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Stalled`] on a structurally invalid schedule.
-    pub fn compute_memo_audit(
-        &mut self,
-        matches: &mut Vec<(u64, u64)>,
-    ) -> Result<Vec<JobRecord>, SimError> {
-        matches.clear();
-        self.engine
-            .compute_rounds_into(&mut self.scratch, Some(matches))?;
-        Ok(self.scratch.records.clone())
+        (self.scratch.memo.hits, self.scratch.memo.misses)
     }
 }
 

@@ -13,14 +13,18 @@
 //!
 //! One sequential round engine computes every run: it walks the
 //! per-processor static orders frame by frame and, under the WCET
-//! execution-time model, replays a frame whose exact carry-in matches an
-//! earlier frame's from a frame memo; a run whose frames do not repeat
-//! disengages the memo after a few misses. The behaviors then replay
-//! through one sequential store in the canonical record order the round
-//! engine fixed, on the caller's thread: the crate spawns none. The
-//! differential suite proves every run, and every replayed frame,
-//! bit-identical to the oracle: the plain round loop that never replays
-//! (`hotpath::simulate_oracle`).
+//! execution-time model, replays a frame whose exact inputs match the
+//! last memoized frame's from a one-entry frame memo; a run whose frames
+//! do not repeat disengages the memo after a few misses. The records are
+//! then sorted into the canonical order and the behaviors replay in it
+//! through one sequential store, on the caller's thread: the crate spawns
+//! none. The differential suite proves every run, and every replayed
+//! frame, bit-identical to the oracle: the plain round loop that never
+//! replays (`hotpath::simulate_oracle`).
+//!
+//! One module per decision of a run: `policy` binds it and runs the round
+//! loops, `memo` is the frame memo, `order` the canonical record order and
+//! `gantt` renders the chart and statistics.
 //!
 //! The compile phase (task-graph derivation, list scheduling, round
 //! tables) is split from the run phase: [`CompiledNetwork`] reifies it as
@@ -42,7 +46,9 @@ mod exectime;
 mod gantt;
 #[doc(hidden)]
 pub mod hotpath;
+mod memo;
 mod metrics;
+mod order;
 mod overhead;
 mod policy;
 mod stimgen;
@@ -58,9 +64,9 @@ pub use metrics::{
     ResponseStats,
 };
 pub use overhead::OverheadModel;
-pub use policy::{clip_stimuli, simulate, JobRecord, SimConfig, SimError, SimRun, SimStats};
+pub use policy::{simulate, JobRecord, SimConfig, SimError, SimRun, SimStats};
 pub use stimgen::adversarial::{adversarial_stimuli, max_density_flood_trace, AdversarialClass};
 pub use stimgen::{
-    random_sporadic_trace, random_stimuli, sporadic_processes, tiled_sporadic_trace,
+    clip_stimuli, random_sporadic_trace, random_stimuli, sporadic_processes, tiled_sporadic_trace,
     validate_stimuli,
 };

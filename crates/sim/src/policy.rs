@@ -25,13 +25,14 @@
 //! yields [`Observables`] that must equal the zero-delay reference
 //! (Prop. 4.1 — asserted by the integration test-suite).
 //!
-//! One sequential round engine computes the rounds of every run, frame by
-//! frame. Under the [`ExecTimeModel::Wcet`] model a frame whose exact
-//! carry-in matches an earlier frame's is replayed from the frame memo,
-//! shifted by the whole hyperperiods between them, instead of recomputed
-//! (see `FrameMemo`). The behaviors then replay through one sequential
-//! store in the canonical record order, whichever loop produced the
-//! records.
+//! This module holds the run types, bind (`RoundEngine::new`), the
+//! frame-major round loop, the oracle's free-interleave loop, `finalize`
+//! and the entry points. Under the [`ExecTimeModel::Wcet`] model a frame
+//! whose exact inputs match the last memoized frame's is replayed from the
+//! frame memo (`crate::memo`) instead of recomputed. `finalize` sorts the
+//! records into the canonical order (`crate::order`), replays the
+//! behaviors through one sequential store in it and renders the run
+//! (`crate::gantt`).
 
 use std::error::Error;
 use std::fmt;
@@ -46,8 +47,10 @@ use fppn_time::TimeQ;
 use crate::cancel::CancelToken;
 use crate::compile::StaticTables;
 use crate::exectime::ExecTimeModel;
-use crate::gantt::{Gantt, Segment, SegmentKind};
+use crate::gantt::Gantt;
+use crate::memo::FrameMemo;
 use crate::overhead::OverheadModel;
+use crate::{gantt, order};
 
 /// Simulation parameters. The frame memo is not among them: every run
 /// replays repeated frames where it is sound (the `Wcet` model) and
@@ -192,45 +195,6 @@ impl From<ExecError> for SimError {
     }
 }
 
-/// Clips sporadic arrivals to the window range covered by `frames` frames
-/// of server slots, so that a zero-delay reference over the same horizon
-/// observes exactly the jobs the simulation will execute.
-///
-/// A sporadic process with server period `T′` has its last simulated slot
-/// subset at `frames·H − T′`; arrivals beyond that subset's window would
-/// only be handled by the (unsimulated) next frame.
-pub fn clip_stimuli(
-    net: &Fppn,
-    derived: &DerivedTaskGraph,
-    stimuli: &Stimuli,
-    frames: u64,
-) -> Stimuli {
-    let mut clipped = stimuli.clone();
-    let h = derived.hyperperiod;
-    let end = TimeQ::from_int(frames as i64) * h;
-    for pid in net.process_ids() {
-        if let Some(server) = derived.server(pid) {
-            let last_subset = end - server.period;
-            let keep: Vec<TimeQ> = stimuli
-                .arrival_times(pid)
-                .iter()
-                .copied()
-                .filter(|&t| {
-                    if server.priority_over_user {
-                        // Window (b − T', b]: covered iff t <= last_subset.
-                        t <= last_subset
-                    } else {
-                        // Window [b − T', b): covered iff t < last_subset.
-                        t < last_subset
-                    }
-                })
-                .collect();
-            clipped.arrivals(pid, keep.into_iter().collect());
-        }
-    }
-    clipped
-}
-
 /// Reusable buffers for [`RoundEngine::compute_rounds_into`]: the flat
 /// completion table (`[frame * n_jobs + job]`), per-processor availability,
 /// the per-processor cursors, the output records and the frame memo. Owned
@@ -244,7 +208,7 @@ pub(crate) struct RoundScratch {
     pub(crate) records: Vec<JobRecord>,
     /// Living in the scratch (hence in `RunScratch`) lets a serve worker's
     /// steady state reuse the memo's entry buffers run after run.
-    memo: FrameMemo,
+    pub(crate) memo: FrameMemo,
 }
 
 impl RoundScratch {
@@ -265,146 +229,6 @@ impl RoundScratch {
         self.proc_avail.resize(m_procs, TimeQ::ZERO);
         self.records.clear();
         try_reserve(&mut self.records, total)
-    }
-
-    /// Cumulative frame-memo `(hits, misses)` over every compute into this
-    /// scratch. Both stay zero when the memo never engages: a non-`Wcet`
-    /// execution-time model, or the oracle loop.
-    pub(crate) fn memo_stats(&self) -> (u64, u64) {
-        (self.memo.hits, self.memo.misses)
-    }
-}
-
-/// Consecutive misses after which the frame memo disengages for the rest
-/// of the run. Periodic FMS settles after two misses (frame 1 seeds every
-/// later hit), so this leaves room for a longer transient, while a run
-/// whose frames never repeat pays for at most this many lookups and
-/// inserts.
-pub const MEMO_MISS_BUDGET: u64 = 4;
-
-/// A bounded table of computed frames, keyed by their **exact** inputs.
-///
-/// A frame's round table is built from `max` and `+` over its inputs, so it
-/// is translation-equivariant: shift every input time by `Δ` and every
-/// output time shifts by `Δ`. Under `Wcet` the execution times and every
-/// periodic slot are frame-invariant relative to the frame base, so two
-/// frames whose remaining inputs agree relative to their own bases produce
-/// round tables that are exact `+k·H` translates. Those inputs are the key:
-///
-/// * the carry-in, stored in the entry: per-processor availability and the
-///   previous frame's wrap-predecessor completions, relative to the base;
-/// * the server-slot resolutions and the release gate, compared against
-///   the source frame's slabs by [`RoundEngine::same_frame_inputs`].
-///
-/// An entry keeps the availability its frame left and its
-/// wrap-predecessor completions, both absolute. Its records need no copy:
-/// every frame appends exactly `n_jobs` records, so the source frame's
-/// block is `records[src * n_jobs..]` of the run being computed. Replay
-/// shifts all of it by `base − src_base`. The table is reset at the start
-/// of every compute (entries forgotten, buffers kept), so nothing leaks
-/// across runs and the steady-state hit and insert paths allocate nothing.
-/// Lookup scans at most [`FrameMemo::CAPACITY`] entries, each rejected at
-/// its first differing word; eviction is a ring.
-#[derive(Debug, Default)]
-struct FrameMemo {
-    /// `entries[..len]` are live; spares past `len` keep their capacity.
-    entries: Vec<MemoEntry>,
-    len: usize,
-    next_evict: usize,
-    /// The current frame's carry-in, relative to its base.
-    carry_in: Vec<TimeQ>,
-    /// Whether the memo still looks up and inserts in this compute.
-    engaged: bool,
-    /// Whether the blocks computed so far are sorted into the canonical
-    /// per-frame order. Set by the first hit, so a run that never replays
-    /// never pays for a sort.
-    sorted: bool,
-    /// Consecutive misses; the memo disengages at [`MEMO_MISS_BUDGET`].
-    streak: u64,
-    hits: u64,
-    misses: u64,
-}
-
-/// One memoized frame: its key's carry-in half, and what replaying it
-/// needs besides its block of records.
-#[derive(Debug, Default)]
-struct MemoEntry {
-    src_frame: usize,
-    src_base: TimeQ,
-    carry_in: Vec<TimeQ>,
-    avail_out: Vec<TimeQ>,
-    /// The frame's completions at the wrap-predecessor jobs: the only
-    /// completion slots a later frame reads (its carry-in and its wrap
-    /// waits), so a replay fills just these.
-    wrap_out: Vec<(u32, TimeQ)>,
-}
-
-impl FrameMemo {
-    const CAPACITY: usize = 16;
-
-    /// Forgets every entry, keeping all buffer capacity and the cumulative
-    /// counters. `engage` says whether this compute may replay at all.
-    fn reset(&mut self, engage: bool) {
-        self.len = 0;
-        self.next_evict = 0;
-        self.streak = 0;
-        self.engaged = engage;
-        self.sorted = false;
-    }
-
-    /// Finds an entry whose carry-in equals `self.carry_in` and whose
-    /// source frame `same_inputs` accepts, counting the hit or miss. The
-    /// miss that completes [`MEMO_MISS_BUDGET`] consecutive misses
-    /// disengages the memo.
-    fn lookup(&mut self, same_inputs: impl Fn(&MemoEntry) -> bool) -> Option<usize> {
-        let found = self.entries[..self.len]
-            .iter()
-            .position(|e| e.carry_in == self.carry_in && same_inputs(e));
-        if found.is_some() {
-            self.hits += 1;
-            self.streak = 0;
-        } else {
-            self.misses += 1;
-            self.streak += 1;
-            self.engaged = self.streak < MEMO_MISS_BUDGET;
-        }
-        found
-    }
-
-    /// Memoizes one computed frame under the current carry-in, evicting
-    /// round-robin when full. Every copy is `clear` + `extend` into
-    /// retained buffers: allocation-free once they have warmed up.
-    fn insert(
-        &mut self,
-        src_frame: usize,
-        src_base: TimeQ,
-        avail: &[TimeQ],
-        wrap_preds: &[JobId],
-        frame_completion: &[Option<TimeQ>],
-    ) {
-        let slot = if self.len < Self::CAPACITY {
-            if self.entries.len() == self.len {
-                self.entries.push(MemoEntry::default());
-            }
-            self.len += 1;
-            self.len - 1
-        } else {
-            let slot = self.next_evict;
-            self.next_evict = (slot + 1) % Self::CAPACITY;
-            slot
-        };
-        let entry = &mut self.entries[slot];
-        entry.src_frame = src_frame;
-        entry.src_base = src_base;
-        entry.carry_in.clear();
-        entry.carry_in.extend_from_slice(&self.carry_in);
-        entry.avail_out.clear();
-        entry.avail_out.extend_from_slice(avail);
-        entry.wrap_out.clear();
-        entry.wrap_out.extend(wrap_preds.iter().map(|p| {
-            let done = frame_completion[p.index()].expect("memoized frames are complete");
-            (p.index() as u32, done)
-        }));
     }
 }
 
@@ -670,21 +494,15 @@ impl<'a> RoundEngine<'a> {
     /// inputs, and a computed frame is memoized. A hit replays the source
     /// frame's block shifted by the hyperperiods between them. The first
     /// hit also sorts every block so far into the canonical per-frame order
-    /// `(completion, topological position)`, and each later computed block
-    /// is sorted as it is made. Replay preserves that order, so a replayed
+    /// ([`order::sort_block`]), and each later computed block is sorted as
+    /// it is made. Replay preserves that order, so a replayed
     /// run streams out already canonical and `canonicalize` takes its
     /// linear fast path, while a run that never replays sorts nothing here.
     ///
-    /// With `audit`, a hit is computed live instead of replayed and logged
-    /// as `(frame, source frame)`: the seam that checks key-equal frames
-    /// really are translates. After one warm-up pass over the same engine
-    /// shape, repeated calls perform **zero heap allocations** (asserted by
-    /// the `alloc_zero` gates in `fppn-bench`).
-    pub(crate) fn compute_rounds_into(
-        &self,
-        scratch: &mut RoundScratch,
-        mut audit: Option<&mut Vec<(u64, u64)>>,
-    ) -> Result<(), SimError> {
+    /// After one warm-up pass over the same engine shape, repeated calls
+    /// perform **zero heap allocations** (asserted by the `alloc_zero`
+    /// gates in `fppn-bench`).
+    pub(crate) fn compute_rounds_into(&self, scratch: &mut RoundScratch) -> Result<(), SimError> {
         scratch.reset(self.total_rounds(), self.m_procs)?;
         let RoundScratch {
             completion,
@@ -696,6 +514,7 @@ impl<'a> RoundEngine<'a> {
         memo.reset(self.replay);
         let n_jobs = self.n_jobs;
         let wrap_preds = &self.tables.wrap_pred_data;
+        let topo_pos = &self.tables.topo_pos;
         for frame in 0..self.frames {
             if self.cancelled() {
                 return Err(SimError::Cancelled {
@@ -704,7 +523,6 @@ impl<'a> RoundEngine<'a> {
             }
             let f = frame as usize;
             let base = TimeQ::from_int(frame as i64) * self.h;
-            let mut hit = false;
             if memo.engaged {
                 let carry_in = &mut memo.carry_in;
                 carry_in.clear();
@@ -714,39 +532,17 @@ impl<'a> RoundEngine<'a> {
                     let done = |p: &JobId| prev[p.index()].expect("the previous frame is complete");
                     carry_in.extend(wrap_preds.iter().map(|p| done(p) - base));
                 }
-                if let Some(slot) = memo.lookup(|e| self.same_frame_inputs(f, base, e)) {
+                if memo.lookup(|src_frame, src_base| {
+                    self.same_frame_inputs(f, base, src_frame, src_base)
+                }) {
                     if !memo.sorted {
                         for g in 0..f {
-                            self.sort_block(&mut records[g * n_jobs..(g + 1) * n_jobs]);
+                            order::sort_block(topo_pos, &mut records[g * n_jobs..(g + 1) * n_jobs]);
                         }
                         memo.sorted = true;
                     }
-                    let entry = &memo.entries[slot];
-                    if let Some(log) = audit.as_deref_mut() {
-                        log.push((frame, entry.src_frame as u64));
-                        hit = true;
-                    } else {
-                        let delta = base - entry.src_base;
-                        // One fused copy+shift pass over the source block.
-                        for i in entry.src_frame * n_jobs..(entry.src_frame + 1) * n_jobs {
-                            let rec = records[i];
-                            records.push(JobRecord {
-                                frame,
-                                invoked_at: rec.invoked_at + delta,
-                                start: rec.start + delta,
-                                completion: rec.completion + delta,
-                                deadline: rec.deadline + delta,
-                                ..rec
-                            });
-                        }
-                        for &(j, done) in &entry.wrap_out {
-                            completion[f * n_jobs + j as usize] = Some(done + delta);
-                        }
-                        for (avail, &src) in proc_avail.iter_mut().zip(&entry.avail_out) {
-                            *avail = src + delta;
-                        }
-                        continue;
-                    }
+                    memo.replay(frame, base, n_jobs, records, completion, proc_avail);
+                    continue;
                 }
             }
             self.compute_frame(frame, completion, proc_avail, cursors, records)?;
@@ -754,11 +550,11 @@ impl<'a> RoundEngine<'a> {
                 continue;
             }
             if memo.sorted {
-                self.sort_block(&mut records[f * n_jobs..]);
+                order::sort_block(topo_pos, &mut records[f * n_jobs..]);
             }
             // No later frame can match the last frame, nor frame 0 on a
             // network with wrap predecessors: its carry-in has no wrap part.
-            if !hit && frame + 1 < self.frames && (f > 0 || wrap_preds.is_empty()) {
+            if frame + 1 < self.frames && (f > 0 || wrap_preds.is_empty()) {
                 memo.insert(
                     f,
                     base,
@@ -771,25 +567,22 @@ impl<'a> RoundEngine<'a> {
         Ok(())
     }
 
-    /// Sorts one frame's block into the canonical per-frame order
-    /// `(completion, topological position)`.
-    fn sort_block(&self, block: &mut [JobRecord]) {
-        let topo_pos = &self.tables.topo_pos;
-        block.sort_unstable_by(|a, b| {
-            (a.completion, topo_pos[a.job.index()]).cmp(&(b.completion, topo_pos[b.job.index()]))
-        });
-    }
-
     /// Whether frame `frame` sees the same server-slot resolutions and
-    /// release gate as `entry`'s source frame, each relative to its own
-    /// base: with equal carry-ins, the rest of a memo key. Periodic slots
-    /// and `Wcet` execution times need no check; they are frame-invariant
-    /// relative to the base (pinned by a `debug_assert` in
-    /// [`RoundEngine::new`]).
-    fn same_frame_inputs(&self, frame: usize, base: TimeQ, entry: &MemoEntry) -> bool {
-        let delta = base - entry.src_base;
-        let (cur, src) = (frame * self.n_jobs, entry.src_frame * self.n_jobs);
-        self.frame_gates[frame] == self.frame_gates[entry.src_frame] + delta
+    /// release gate as the memo entry's source frame `src_frame` at
+    /// `src_base`, each relative to its own base: with equal carry-ins, the
+    /// rest of a memo key. Periodic slots and `Wcet` execution times need
+    /// no check; they are frame-invariant relative to the base (pinned by a
+    /// `debug_assert` in [`RoundEngine::new`]).
+    fn same_frame_inputs(
+        &self,
+        frame: usize,
+        base: TimeQ,
+        src_frame: usize,
+        src_base: TimeQ,
+    ) -> bool {
+        let delta = base - src_base;
+        let (cur, src) = (frame * self.n_jobs, src_frame * self.n_jobs);
+        self.frame_gates[frame] == self.frame_gates[src_frame] + delta
             && self.server_slots.iter().all(|&j| {
                 self.slot_executable[cur + j] == self.slot_executable[src + j]
                     && self.slot_invoked[cur + j] == self.slot_invoked[src + j] + delta
@@ -909,62 +702,14 @@ impl<'a> RoundEngine<'a> {
         Ok(())
     }
 
-    /// Sorts `records` into the canonical total order `(completion, frame,
-    /// topological position)` and assigns each executed round its global
-    /// invocation count, a pure function of that order. The topological
-    /// positions are borrowed from the compile-phase tables.
-    fn canonicalize(&self, net: &Fppn, records: &mut [JobRecord]) {
-        let topo_pos = &self.tables.topo_pos;
-        let key = |r: &JobRecord| (r.completion, r.frame, topo_pos[r.job.index()] as u32);
-        // Sorted fast path: while the memo is engaged the round loop emits
-        // each frame block pre-sorted, so a replayed run on a schedulable
-        // workload (no frame overruns its hyperperiod) is already canonical
-        // and one linear scan replaces the sort + permutation entirely.
-        if !records.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
-            // Decorate-sort-permute with an *unstable* sort: the canonical
-            // key is already a total order (the topological position is
-            // unique per job within a frame), so stability buys nothing and
-            // pdqsort over compact `(key, index)` pairs avoids the stable
-            // sort's merge scratch. The trailing index is a tie-breaker in
-            // theory only.
-            let mut keyed: Vec<(TimeQ, u64, u32, u32)> = records
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (r.completion, r.frame, topo_pos[r.job.index()] as u32, i as u32))
-                .collect();
-            keyed.sort_unstable();
-            for i in 0..keyed.len() {
-                let mut index = keyed[i].3 as usize;
-                while index < i {
-                    index = keyed[index].3 as usize;
-                }
-                keyed[i].3 = index as u32;
-                records.swap(i, index);
-            }
-        }
-
-        // Global invocation counts are a pure function of the canonical
-        // order, assigned before any behavior runs.
-        let mut counts = vec![0u64; net.process_count()];
-        for rec in records.iter_mut() {
-            if rec.skipped {
-                continue;
-            }
-            let c = &mut counts[rec.process.index()];
-            *c += 1;
-            rec.global_k = *c;
-        }
-    }
-
     /// Sorts the records canonically, runs the behaviors through the
     /// sequential store, renders the Gantt and accumulates the statistics.
     ///
-    /// The canonical order `(completion, frame, topological position)` is a
-    /// *total* order on rounds (the topological position is unique per job
-    /// within a frame), so the result is independent of the order in which
-    /// a round loop produced the records (computed, replayed, or the
-    /// oracle's) — the keystone of the bit-identity contract. Every record
-    /// exists before the first behavior fires.
+    /// The canonical order (see `crate::order`) is a *total* order on
+    /// rounds, so the result is independent of the order in which a round
+    /// loop produced the records (computed, replayed, or the oracle's) —
+    /// the keystone of the bit-identity contract. Every record exists
+    /// before the first behavior fires.
     pub(crate) fn finalize(
         &self,
         net: &Fppn,
@@ -972,7 +717,7 @@ impl<'a> RoundEngine<'a> {
         stimuli: &Stimuli,
         mut records: Vec<JobRecord>,
     ) -> Result<SimRun, SimError> {
-        self.canonicalize(net, &mut records);
+        order::canonicalize(&self.tables.topo_pos, net.process_count(), &mut records);
 
         // Execute behaviors in the precedence-consistent canonical order.
         let mut behaviors = bank.instantiate();
@@ -991,89 +736,15 @@ impl<'a> RoundEngine<'a> {
             }
             state.run_job(&mut behaviors, rec.process, rec.global_k, rec.invoked_at)?;
         }
-        Ok(self.render(net, records, state.into_observables()))
-    }
-
-    /// Renders the [`SimRun`] from canonically-ordered records (with
-    /// `global_k` assigned) and already-computed observables: the Gantt,
-    /// then the aggregate statistics.
-    fn render(
-        &self,
-        net: &Fppn,
-        records: Vec<JobRecord>,
-        observables: Observables,
-    ) -> SimRun {
-        // Gantt: application rows + a runtime row when overhead is modeled.
-        let overhead_row = (!self.overhead.is_none()) as usize;
-        let mut gantt = Gantt::new(self.m_procs + overhead_row);
-        // `name[k]@frame`, assembled by hand: one `format!` per segment is
-        // measurable at hundreds of thousands of rounds.
-        fn push_u64(out: &mut String, mut v: u64) {
-            let mut buf = [0u8; 20];
-            let mut i = buf.len();
-            loop {
-                i -= 1;
-                buf[i] = b'0' + (v % 10) as u8;
-                v /= 10;
-                if v == 0 {
-                    break;
-                }
-            }
-            out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
-        }
-        for rec in &records {
-            if rec.skipped {
-                continue;
-            }
-            let name = net.process(rec.process).name();
-            let mut label = String::with_capacity(name.len() + 24);
-            label.push_str(name);
-            label.push('[');
-            push_u64(&mut label, rec.global_k);
-            label.push_str("]@");
-            push_u64(&mut label, rec.frame);
-            gantt.push(Segment {
-                processor: rec.processor,
-                label,
-                start: rec.start,
-                end: rec.completion,
-                kind: SegmentKind::Job,
-            });
-        }
-        if overhead_row == 1 {
-            for f in 0..self.frames {
-                let base = TimeQ::from_int(f as i64) * self.h;
-                gantt.push(Segment {
-                    processor: self.m_procs,
-                    label: format!("runtime@{f}"),
-                    start: base,
-                    end: base + self.overhead.frame_overhead(f),
-                    kind: SegmentKind::Overhead,
-                });
-            }
-        }
-
-        let mut stats = SimStats::default();
-        for rec in &records {
-            if rec.skipped {
-                stats.skipped += 1;
-                continue;
-            }
-            stats.executed += 1;
-            stats.makespan = stats.makespan.max(rec.completion);
-            if rec.missed {
-                stats.deadline_misses += 1;
-                stats.max_lateness =
-                    stats.max_lateness.max(rec.completion - rec.deadline);
-            }
-        }
-
-        SimRun {
-            observables,
-            gantt,
+        let observables = state.into_observables();
+        Ok(gantt::render(
             records,
-            stats,
-        }
+            observables,
+            self.m_procs,
+            self.overhead,
+            self.frames,
+            self.h,
+        ))
     }
 }
 
@@ -1122,12 +793,12 @@ pub(crate) fn run(
     }
     let records = match scratch {
         Some(scratch) => {
-            engine.compute_rounds_into(scratch, None)?;
+            engine.compute_rounds_into(scratch)?;
             std::mem::take(&mut scratch.records)
         }
         None => {
             let mut scratch = RoundScratch::new();
-            engine.compute_rounds_into(&mut scratch, None)?;
+            engine.compute_rounds_into(&mut scratch)?;
             scratch.records
         }
     };
@@ -1137,6 +808,7 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clip_stimuli;
     use fppn_core::{
         run_zero_delay, ChannelKind, EventSpec, FppnBuilder, JobCtx, JobOrdering, PortId,
         ProcessSpec, SporadicTrace, Value,
@@ -1453,7 +1125,7 @@ mod tests {
         let stimuli = Stimuli::new();
         let mut engine = RoundEngine::new(&net, &stimuli, &derived, &tables, &config).unwrap();
         let mut scratch = RoundScratch::new();
-        engine.compute_rounds_into(&mut scratch, None).unwrap();
+        engine.compute_rounds_into(&mut scratch).unwrap();
         let token = CancelToken::new();
         token.cancel();
         engine.set_cancel(&token);

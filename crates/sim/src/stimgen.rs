@@ -1,4 +1,5 @@
-//! Random stimulus generation: sporadic arrival traces and input streams.
+//! Random stimulus generation: sporadic arrival traces and input streams,
+//! and the clipping of a trace to the frames a run simulates.
 //!
 //! The paper's sporadic events come from pilots and reconfiguration
 //! commands; here they are drawn from seeded RNGs under the exact `(m, T)`
@@ -6,6 +7,7 @@
 //! admissible arrival space.
 
 use fppn_core::{EventKind, Fppn, ProcessId, SporadicTrace, Stimuli, Value};
+use fppn_taskgraph::DerivedTaskGraph;
 use fppn_time::TimeQ;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -182,6 +184,45 @@ pub fn sporadic_processes(net: &Fppn) -> Vec<ProcessId> {
     net.process_ids()
         .filter(|&p| net.process(p).event().kind() == EventKind::Sporadic)
         .collect()
+}
+
+/// Clips sporadic arrivals to the window range covered by `frames` frames
+/// of server slots, so that a zero-delay reference over the same horizon
+/// observes exactly the jobs the simulation will execute.
+///
+/// A sporadic process with server period `T′` has its last simulated slot
+/// subset at `frames·H − T′`; arrivals beyond that subset's window would
+/// only be handled by the (unsimulated) next frame.
+pub fn clip_stimuli(
+    net: &Fppn,
+    derived: &DerivedTaskGraph,
+    stimuli: &Stimuli,
+    frames: u64,
+) -> Stimuli {
+    let mut clipped = stimuli.clone();
+    let h = derived.hyperperiod;
+    let end = TimeQ::from_int(frames as i64) * h;
+    for pid in net.process_ids() {
+        if let Some(server) = derived.server(pid) {
+            let last_subset = end - server.period;
+            let keep: Vec<TimeQ> = stimuli
+                .arrival_times(pid)
+                .iter()
+                .copied()
+                .filter(|&t| {
+                    if server.priority_over_user {
+                        // Window (b − T', b]: covered iff t <= last_subset.
+                        t <= last_subset
+                    } else {
+                        // Window [b − T', b): covered iff t < last_subset.
+                        t < last_subset
+                    }
+                })
+                .collect();
+            clipped.arrivals(pid, keep.into_iter().collect());
+        }
+    }
+    clipped
 }
 
 #[cfg(test)]

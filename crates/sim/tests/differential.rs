@@ -27,16 +27,21 @@ use fppn_taskgraph::{derive_task_graph, DerivedTaskGraph};
 use fppn_time::TimeQ;
 use proptest::prelude::*;
 
-fn assert_bit_identical(seq: &SimRun, par: &SimRun, label: &str) {
-    assert_eq!(seq.records, par.records, "{label}: records diverged");
+/// Asserts `run` bit-identical to `oracle`, the reference run: the oracle
+/// seam, or a fresh compile when a cached artifact is under test.
+fn assert_bit_identical(oracle: &SimRun, run: &SimRun, label: &str) {
+    assert_eq!(oracle.records, run.records, "{label}: records diverged");
     assert_eq!(
-        seq.observables.diff(&par.observables),
+        oracle.observables.diff(&run.observables),
         None,
         "{label}: observables diverged"
     );
-    assert_eq!(seq.observables, par.observables, "{label}: observables !=");
-    assert_eq!(seq.gantt, par.gantt, "{label}: gantt diverged");
-    assert_eq!(seq.stats, par.stats, "{label}: stats diverged");
+    assert_eq!(
+        oracle.observables, run.observables,
+        "{label}: observables !="
+    );
+    assert_eq!(oracle.gantt, run.gantt, "{label}: gantt diverged");
+    assert_eq!(oracle.stats, run.stats, "{label}: stats diverged");
 }
 
 /// Runs the oracle seam and the default [`simulate`] on one simulation
@@ -97,7 +102,7 @@ fn check_workload(cfg: &WorkloadConfig, density: u32, frames: u64) {
 }
 
 #[test]
-fn parallel_matches_seq_on_pinned_workloads() {
+fn default_matches_oracle_on_pinned_workloads() {
     for seed in 0..4u64 {
         let cfg = WorkloadConfig {
             periodic: 5,
@@ -110,7 +115,7 @@ fn parallel_matches_seq_on_pinned_workloads() {
 }
 
 #[test]
-fn parallel_matches_seq_at_extreme_densities() {
+fn default_matches_oracle_at_extreme_densities() {
     // Density 0 (all server slots false) and 1000 (maximal admissible
     // sporadic rate) stress the skipped-slot and invocation-wait paths.
     for density in [0u32, 1000] {
@@ -207,7 +212,7 @@ fn default_matches_oracle_on_behavior_heavy_workloads() {
 /// suite. Window-edge arrivals under overhead-shifted completions are
 /// exactly where a subset-mapping or visibility bug would surface.
 #[test]
-fn backends_agree_on_adversarial_stimuli_with_overheads() {
+fn default_matches_oracle_on_adversarial_stimuli_with_overheads() {
     for (label, fppn_cfg) in adversarial_presets() {
         let w = synthetic_fppn(&fppn_cfg);
         let derived = derive_task_graph(&w.net, &w.wcet).expect("derivable");
@@ -410,7 +415,7 @@ fn compiled_entry_points_match_oracle() {
 /// control plane's correctness argument (CI's test-name filter is
 /// `compile`).
 #[test]
-fn compiled_artifact_matches_fresh_compile_across_backends() {
+fn compiled_artifact_matches_fresh_compile_on_adversarial_stimuli() {
     for (label, fppn_cfg) in adversarial_presets() {
         let w = synthetic_fppn(&fppn_cfg);
         let cfg = CompileConfig::new(w.wcet.clone(), 2);
@@ -612,7 +617,7 @@ proptest! {
 /// the replaying exec model (`Wcet`) and a stochastic one that computes
 /// every frame live.
 #[test]
-fn memo_on_is_bit_identical_to_memo_off_across_backends() {
+fn memo_replaying_run_matches_oracle_across_frame_counts() {
     for (label, fppn_cfg) in adversarial_presets() {
         let w = synthetic_fppn(&fppn_cfg);
         let derived = derive_task_graph(&w.net, &w.wcet).expect("derivable");
@@ -848,13 +853,12 @@ proptest! {
 
     /// Audit of the memo's exact key: over random workload shapes and
     /// sporadic densities, with arrivals drawn over the whole horizon or
-    /// tiled per hyperperiod (so that frames can repeat), any two frames
-    /// the memo matched — computed live here instead of replayed — must
-    /// have produced round tables that are
-    /// exact time-translates of each other (same jobs, processors,
-    /// miss/skip flags; all four timestamps shifted by a whole number of
-    /// hyperperiods). A key that missed one of a frame's inputs would
-    /// surface here as a non-translate pair.
+    /// tiled per hyperperiod (so that frames can repeat), the default run,
+    /// which replays every frame the memo matches as a time-translate of
+    /// its source frame, must be bit-identical to the oracle seam, which
+    /// computes every frame live. A key that missed one of a frame's
+    /// inputs would surface here as a replayed frame that is not the
+    /// translate the live computation gives.
     #[test]
     fn memo_key_equal_frames_are_time_translates(
         periodic in 2usize..6,
@@ -891,39 +895,18 @@ proptest! {
         }
         let stimuli = clip_stimuli(&w.net, &derived, &stimuli, frames);
         let schedule = list_schedule(&derived.graph, m, Heuristic::AlapEdf);
-        let tables = StaticTables::build(&w.net, &derived, &schedule);
         let config = SimConfig {
             frames,
             exec_time: ExecTimeModel::Wcet,
             ..SimConfig::default()
         };
-        let mut rounds = SeqRounds::new(&w.net, &stimuli, &derived, &tables, &config).unwrap();
-        let mut matches = Vec::new();
-        let records = rounds.compute_memo_audit(&mut matches).unwrap();
-        prop_assert_eq!(records.len(), frames as usize * derived.graph.job_count());
-
-        let mut by_frame: Vec<Vec<&fppn_sim::JobRecord>> = vec![Vec::new(); frames as usize];
-        for rec in &records {
-            by_frame[rec.frame as usize].push(rec);
-        }
-        for block in &mut by_frame {
-            block.sort_by_key(|r| r.job.index());
-        }
-        for &(j, i) in &matches {
-            prop_assert!(i < j, "frame {} matched a later frame {}", j, i);
-            let shift = TimeQ::from_int((j - i) as i64) * derived.hyperperiod;
-            let (a, b) = (&by_frame[i as usize], &by_frame[j as usize]);
-            for (a, b) in a.iter().zip(b.iter()) {
-                prop_assert_eq!(a.job, b.job, "frames {} vs {}", i, j);
-                prop_assert_eq!(a.process, b.process, "frames {} vs {}", i, j);
-                prop_assert_eq!(a.processor, b.processor, "frames {} vs {}", i, j);
-                prop_assert_eq!(a.missed, b.missed, "frames {} vs {}", i, j);
-                prop_assert_eq!(a.skipped, b.skipped, "frames {} vs {}", i, j);
-                prop_assert_eq!(a.invoked_at + shift, b.invoked_at, "frames {} vs {}", i, j);
-                prop_assert_eq!(a.start + shift, b.start, "frames {} vs {}", i, j);
-                prop_assert_eq!(a.completion + shift, b.completion, "frames {} vs {}", i, j);
-                prop_assert_eq!(a.deadline + shift, b.deadline, "frames {} vs {}", i, j);
-            }
-        }
+        let oracle =
+            simulate_oracle(&w.net, &w.bank, &stimuli, &derived, &schedule, &config).unwrap();
+        let run = simulate(&w.net, &w.bank, &stimuli, &derived, &schedule, &config).unwrap();
+        prop_assert_eq!(run.records.len(), frames as usize * derived.graph.job_count());
+        prop_assert_eq!(&oracle.records, &run.records);
+        prop_assert_eq!(&oracle.observables, &run.observables);
+        prop_assert_eq!(&oracle.gantt, &run.gantt);
+        prop_assert_eq!(&oracle.stats, &run.stats);
     }
 }

@@ -253,24 +253,30 @@ fn assert_sustainable(p: &Prepared, m: usize, exec: ExecTimeModel, label: &str) 
 
 /// Property 3: the default memoized loop produces a run bit-identical to
 /// the oracle seam under an adversarial stimulus.
-fn assert_backends_agree(p: &Prepared, stimuli: &fppn_core::Stimuli, m: usize, exec: ExecTimeModel, label: &str) {
+fn assert_default_matches_oracle(
+    p: &Prepared,
+    stimuli: &fppn_core::Stimuli,
+    m: usize,
+    exec: ExecTimeModel,
+    label: &str,
+) {
     let schedule = list_schedule(&p.derived.graph, m, Heuristic::AlapEdf);
     let config = SimConfig {
         frames: p.frames,
         exec_time: exec,
         ..SimConfig::default()
     };
-    let seq = simulate_oracle(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
+    let oracle = simulate_oracle(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
         .expect("sequential oracle");
     let run = simulate(&p.w.net, &p.w.bank, stimuli, &p.derived, &schedule, &config)
         .expect("default run");
-    assert_eq!(seq.records, run.records, "{label}: records diverged");
+    assert_eq!(oracle.records, run.records, "{label}: records diverged");
     assert_eq!(
-        seq.observables, run.observables,
+        oracle.observables, run.observables,
         "{label}: observables diverged"
     );
-    assert_eq!(seq.gantt, run.gantt, "{label}: gantt diverged");
-    assert_eq!(seq.stats, run.stats, "{label}: stats diverged");
+    assert_eq!(oracle.gantt, run.gantt, "{label}: gantt diverged");
+    assert_eq!(oracle.stats, run.stats, "{label}: stats diverged");
 }
 
 fn campaign_workloads() -> Vec<(String, Prepared)> {
@@ -418,7 +424,7 @@ fn sustainability_under_sparser_floods() {
 }
 
 #[test]
-fn robustness_across_backends_on_adversarial_stimuli() {
+fn robustness_default_matches_oracle_on_adversarial_stimuli() {
     for (label, p) in campaign_workloads() {
         for class in AdversarialClass::ALL {
             let raw = adversarial_stimuli(&p.w.net, &p.derived, p.horizon, class, 0x0B57);
@@ -427,7 +433,7 @@ fn robustness_across_backends_on_adversarial_stimuli() {
                 // `Wcet` is the model the frame memo replays under; the
                 // jitter model computes every frame live.
                 for exec in [ExecTimeModel::Wcet, ExecTimeModel::typical_jitter(0x0B57 ^ m as u64)] {
-                    assert_backends_agree(
+                    assert_default_matches_oracle(
                         &p,
                         &stimuli,
                         m,
@@ -485,7 +491,7 @@ proptest! {
     /// Robustness over random shapes: every execution setting agrees under
     /// every adversarial class (seed-pinned by proptest's own RNG).
     #[test]
-    fn backends_agree_for_random_shapes(
+    fn default_matches_oracle_for_random_shapes(
         periodic in 2usize..5,
         sporadic in 0usize..3,
         class_idx in 0usize..4,
@@ -502,7 +508,7 @@ proptest! {
         let class = AdversarialClass::ALL[class_idx];
         let raw = adversarial_stimuli(&p.w.net, &p.derived, p.horizon, class, seed ^ 0xB0B);
         let stimuli = clip_stimuli(&p.w.net, &p.derived, &raw, p.frames);
-        assert_backends_agree(
+        assert_default_matches_oracle(
             &p,
             &stimuli,
             m,

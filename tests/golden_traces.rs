@@ -100,7 +100,7 @@ fn fig1_zero_delay_trace_is_pinned() {
 /// so a semantics drift in the rounds or the behavior replay cannot hide
 /// behind a matching drift in the zero-delay executor.
 #[test]
-fn parallel_backend_reproduces_golden_traces() {
+fn default_and_oracle_reproduce_golden_traces() {
     // Fig. 1, same stimulus as the pinned reference, 4 frames.
     {
         let (net, bank, ids) = fig1_network();
