@@ -272,7 +272,7 @@ mod tests {
         let i1f = full.graph.find(ids.input_a, 1).unwrap();
         let n1f = full.graph.find(ids.norm_a, 1).unwrap();
         assert!(full.graph.has_edge(i1f, n1f));
-        assert!(d.reduced_edges >= 1);
+        assert_eq!(d.reduced_edges, 3);
 
         // Server jobs precede the user job; FilterB[1] waits for InputA[1].
         let c1 = find(ids.coef_b, 1);

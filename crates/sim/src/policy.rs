@@ -573,6 +573,12 @@ impl<'a> RoundEngine<'a> {
     /// rest of a memo key. Periodic slots and `Wcet` execution times need
     /// no check; they are frame-invariant relative to the base (pinned by a
     /// `debug_assert` in [`RoundEngine::new`]).
+    ///
+    /// Under [`OverheadModel`] the gate compare never decides a lookup:
+    /// [`fppn_taskgraph::wrap_predecessors`] links every process to its own
+    /// next-frame job, so frame 0 is never a source, and every later gate
+    /// lies the same `steady_frame` past its base. No test can tell the
+    /// compare from `true`; it guards an overhead that varies after frame 0.
     fn same_frame_inputs(
         &self,
         frame: usize,

@@ -12,8 +12,8 @@
 //! processor counts.
 
 use fppn_apps::{
-    adversarial_presets, fms_network, fms_wcet, random_workload, synthetic_fppn, FmsVariant,
-    SyntheticFppnConfig, SyntheticGraphConfig, WorkloadConfig,
+    adversarial_presets, fft_network, fft_wcet, fms_network, fms_wcet, random_workload,
+    synthetic_fppn, FmsVariant, SyntheticFppnConfig, SyntheticGraphConfig, WorkloadConfig,
 };
 use fppn_core::{BehaviorBank, Fppn, Stimuli};
 use fppn_sched::{list_schedule, Heuristic, StaticSchedule};
@@ -686,6 +686,45 @@ fn memo_replays_settled_periodic_frames_as_hits() {
     let replayed =
         simulate(&net, &bank, &stimuli, &derived, &schedule, &config).expect("default run");
     assert_bit_identical(&oracle, &replayed, "fms periodic memo replay");
+}
+
+/// The §V-A MPPA calibration charges 41 ms before frame 0 and 20 ms before
+/// every later frame, so frame 0's release gate differs from the steady
+/// one. Under `Wcet` the default run must still replay the steady frames
+/// of the paper's FFT, and equal the oracle bit for bit. Two and three
+/// processors let the frames settle; on one, the FFT's load of 0.93 plus
+/// the overhead overruns every frame, and nothing repeats.
+#[test]
+fn memo_replays_steady_frames_under_the_mppa_overhead() {
+    let (net, bank, _) = fft_network();
+    let derived = derive_task_graph(&net, &fft_wcet()).expect("derivable");
+    let stimuli = Stimuli::new();
+    let config = SimConfig {
+        frames: 8,
+        overhead: OverheadModel::mppa_fft(),
+        exec_time: ExecTimeModel::Wcet,
+    };
+    for m in [2usize, 3] {
+        let schedule = list_schedule(&derived.graph, m, Heuristic::AlapEdf);
+        let tables = StaticTables::build(&net, &derived, &schedule);
+        let mut rounds =
+            SeqRounds::new(&net, &stimuli, &derived, &tables, &config).expect("round engine");
+        rounds.compute().expect("rounds");
+        let (hits, _) = rounds.memo_stats();
+        assert!(
+            hits > 0,
+            "m {m}: steady frames must replay under the MPPA overhead"
+        );
+        assert_default_matches_oracle(
+            &net,
+            &bank,
+            &stimuli,
+            &derived,
+            &schedule,
+            config,
+            &format!("fft m {m} mppa overhead"),
+        );
+    }
 }
 
 /// Frames whose sporadic arrivals never repeat cannot replay: the memo

@@ -11,7 +11,12 @@
 //! 3. adds precedence edges between every `<J`-ordered pair of jobs of the
 //!    same process or of FP′-related processes;
 //! 4. truncates deadlines to `H` (non-pipelined scheduling);
-//! 5. removes redundant edges by transitive reduction.
+//! 5. removes redundant edges by transitive reduction. Step 3 makes each
+//!    process's jobs a chain, so one reverse-topological sweep over the
+//!    lowest position each job reaches on each chain decides every edge,
+//!    in O((n + E)·P) for `P` processes; the sweep takes the chains 64 at
+//!    a time, so its table stays O(n) on any graph (see
+//!    [`TaskGraph::transitive_reduction`]).
 //!
 //! Server job deadlines are shortened to `d_p − T′` to compensate the
 //! worst-case one-period postponement of a deferred sporadic arrival; when
@@ -53,7 +58,8 @@ pub struct ServerSpec {
 /// transformation metadata needed by the online policy.
 #[derive(Debug, Clone)]
 pub struct DerivedTaskGraph {
-    /// The derived, transitively-reduced task graph.
+    /// The derived task graph: transitively reduced, except from
+    /// [`derive_conflict_graph`] and [`derive_task_graph_unreduced`].
     pub graph: TaskGraph,
     /// Server specs, keyed by sporadic process.
     pub servers: BTreeMap<ProcessId, ServerSpec>,
@@ -123,7 +129,8 @@ struct Effective {
     is_server: bool,
 }
 
-/// Derives the task graph of §III-A for one hyperperiod.
+/// Derives the task graph of §III-A for one hyperperiod: the
+/// [`derive_conflict_graph`] of steps 1–4, transitively reduced (step 5).
 ///
 /// # Errors
 ///
@@ -133,8 +140,27 @@ struct Effective {
 /// # Examples
 ///
 /// See `fppn-apps`' Fig. 1 network, whose derived graph reproduces Fig. 3
-/// of the paper (10 jobs, `H = 200 ms`, one redundant edge removed).
+/// of the paper (10 jobs, `H = 200 ms`, three redundant edges removed,
+/// among them the figure's `InputA[1] → NormA[1]`).
 pub fn derive_task_graph(net: &Fppn, wcet: &WcetModel) -> Result<DerivedTaskGraph, DeriveError> {
+    let mut derived = derive_conflict_graph(net, wcet)?;
+    derived.reduced_edges = derived.graph.transitive_reduction();
+    Ok(derived)
+}
+
+/// Steps 1–4 of the derivation: the jobs of one hyperperiod and the
+/// conflict edges of step 3 before transitive reduction, with
+/// `reduced_edges == 0`. Each job gets an edge to the next job of its own
+/// process and to the first `<J`-later job of each FP′-related process;
+/// transitivity covers every other conflicting pair.
+///
+/// # Errors
+///
+/// As [`derive_task_graph`].
+pub fn derive_conflict_graph(
+    net: &Fppn,
+    wcet: &WcetModel,
+) -> Result<DerivedTaskGraph, DeriveError> {
     if net.process_count() == 0 {
         return Err(DeriveError::EmptyNetwork);
     }
@@ -284,14 +310,11 @@ pub fn derive_task_graph(net: &Fppn, wcet: &WcetModel) -> Result<DerivedTaskGrap
         }
     }
 
-    // Step 5: transitive reduction.
-    let reduced_edges = graph.transitive_reduction();
-
     Ok(DerivedTaskGraph {
         graph,
         servers,
         hyperperiod: h,
-        reduced_edges,
+        reduced_edges: 0,
     })
 }
 
@@ -303,11 +326,11 @@ pub fn derive_task_graph_unreduced(
     net: &Fppn,
     wcet: &WcetModel,
 ) -> Result<DerivedTaskGraph, DeriveError> {
-    let derived = derive_task_graph(net, wcet)?;
+    let derived = derive_conflict_graph(net, wcet)?;
     // Rebuild all edges from the closure relation implied by <J.
     let mut graph = TaskGraph::new(derived.graph.jobs().to_vec(), derived.hyperperiod);
     let ranks: BTreeMap<ProcessId, u64> = {
-        // Recover ranks from the reduced graph's job order: jobs are stored
+        // Recover ranks from the derived graph's job order: jobs are stored
         // per process in k order, and <J uses (arrival, rank, k); recompute
         // the same FP′ ranks.
         let sporadic: Vec<ProcessId> = derived.servers.keys().copied().collect();

@@ -7,6 +7,13 @@ use fppn_time::TimeQ;
 
 use crate::job::{Job, JobId};
 
+/// Chains per sweep of [`TaskGraph::transitive_reduction`]: its reachability
+/// table holds at most `CHAIN_BLOCK` positions per job.
+const CHAIN_BLOCK: usize = 64;
+
+/// A `first` entry for a chain the job does not reach.
+const UNREACHED: u32 = u32::MAX;
+
 /// A directed acyclic graph of jobs with precedence edges (Def. 3.1).
 ///
 /// Nodes are [`Job`]s; an edge `(J_a, J_b)` constrains `J_a` to complete
@@ -108,16 +115,6 @@ impl TaskGraph {
         self.preds[id.index()].iter().copied()
     }
 
-    /// The in-degree `|Pred(i)|` of a job, in O(1).
-    pub fn pred_count(&self, id: JobId) -> usize {
-        self.preds[id.index()].len()
-    }
-
-    /// The out-degree `|Succ(i)|` of a job, in O(1).
-    pub fn succ_count(&self, id: JobId) -> usize {
-        self.succs[id.index()].len()
-    }
-
     /// All in-degrees, indexed by job id — the scheduler's initial
     /// `remaining_preds` vector in one O(n) pass.
     pub fn pred_counts(&self) -> Vec<usize> {
@@ -192,8 +189,112 @@ impl TaskGraph {
     /// through a longer path. Returns the number of removed edges.
     ///
     /// The transitive reduction of a DAG is unique, so the result does not
-    /// depend on traversal order.
+    /// depend on traversal order: it equals
+    /// [`TaskGraph::transitive_reduction_naive`]'s edge for edge.
+    ///
+    /// Reachability is indexed by *chains*. The jobs, sorted by
+    /// `(process, k)`, are cut into chains wherever two neighbours lack a
+    /// direct edge, so every chain is a path and a job that reaches one of
+    /// its positions reaches every later one. §III-A step 3 links the
+    /// consecutive jobs of each process, so a derived graph has at most one
+    /// chain per process. One reverse-topological sweep fills
+    /// `first[a][q]`, the lowest position on chain `q` reachable from job
+    /// `a`. Visiting `a`'s successors in topological order, the edge
+    /// `a → b` is redundant iff an earlier successor `c` has
+    /// `first[c][chain(b)] ≤ pos(b)`. For `P` chains this costs
+    /// O((n + E)·P). The sweep covers the chains in blocks of
+    /// `CHAIN_BLOCK` (64) columns, so the table holds at most `64·n`
+    /// positions even when every job is a chain of its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has a cycle.
     pub fn transitive_reduction(&mut self) -> usize {
+        let n = self.jobs.len();
+        let order = self
+            .topological_order()
+            .expect("transitive reduction requires a DAG");
+
+        let mut by_chain: Vec<JobId> = self.job_ids().collect();
+        by_chain.sort_by_key(|&id| (self.jobs[id.index()].process, self.jobs[id.index()].k));
+        let (mut chain, mut pos) = (vec![0usize; n], vec![0u32; n]);
+        let mut chains = 0usize;
+        let mut prev: Option<JobId> = None;
+        for &id in &by_chain {
+            match prev {
+                Some(p) if self.has_edge(p, id) => {
+                    chain[id.index()] = chain[p.index()];
+                    pos[id.index()] = pos[p.index()] + 1;
+                }
+                _ => {
+                    chain[id.index()] = chains;
+                    chains += 1;
+                }
+            }
+            prev = Some(id);
+        }
+
+        // Successor rows in topological order: appending each job, in that
+        // order, to the rows of its predecessors.
+        let mut start = vec![0usize; n + 1];
+        for (i, s) in self.succs.iter().enumerate() {
+            start[i + 1] = start[i] + s.len();
+        }
+        let mut fill = start[..n].to_vec();
+        let mut succ = vec![JobId(0); start[n]];
+        for &b in &order {
+            for a in &self.preds[b.index()] {
+                succ[fill[a.index()]] = b;
+                fill[a.index()] += 1;
+            }
+        }
+
+        let width = chains.min(CHAIN_BLOCK);
+        let mut first = vec![UNREACHED; n * width];
+        let mut redundant = Vec::new();
+        for lo in (0..chains).step_by(CHAIN_BLOCK) {
+            let w = (chains - lo).min(CHAIN_BLOCK);
+            // Chain `q` of this block is column `q - lo`; a job on another
+            // block's chain wraps to a column `>= w`.
+            let column = |id: JobId| chain[id.index()].wrapping_sub(lo);
+            // Successors precede their predecessors, so every row read
+            // here was written earlier in this block's sweep.
+            for &a in order.iter().rev() {
+                let mut row = [UNREACHED; CHAIN_BLOCK];
+                for &b in &succ[start[a.index()]..start[a.index() + 1]] {
+                    let q = column(b);
+                    if q < w && row[q] <= pos[b.index()] {
+                        // An earlier successor reaches `b`, and with it
+                        // everything `b` reaches: nothing to merge.
+                        redundant.push((a, b));
+                        continue;
+                    }
+                    let reach = &first[b.index() * width..][..w];
+                    for (r, &f) in row[..w].iter_mut().zip(reach) {
+                        *r = (*r).min(f);
+                    }
+                }
+                let q = column(a);
+                if q < w {
+                    row[q] = pos[a.index()];
+                }
+                first[a.index() * width..][..w].copy_from_slice(&row[..w]);
+            }
+        }
+        for &(a, b) in &redundant {
+            self.remove_edge(a, b);
+        }
+        redundant.len()
+    }
+
+    /// The original reduction, retained as the differential oracle for
+    /// [`TaskGraph::transitive_reduction`]: for every pair of direct
+    /// successors it runs an [`TaskGraph::is_reachable`] DFS.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has a cycle.
+    pub fn transitive_reduction_naive(&mut self) -> usize {
         let order = self
             .topological_order()
             .expect("transitive reduction requires a DAG");
@@ -300,12 +401,13 @@ mod tests {
         g.add_edge(j(0), j(1));
         g.add_edge(j(0), j(2));
         g.add_edge(j(1), j(2));
+        let (preds, succs) = (g.pred_counts(), g.succ_counts());
         for id in g.job_ids() {
-            assert_eq!(g.pred_count(id), g.predecessors(id).count());
-            assert_eq!(g.succ_count(id), g.successors(id).count());
+            assert_eq!(preds[id.index()], g.predecessors(id).count());
+            assert_eq!(succs[id.index()], g.successors(id).count());
         }
-        assert_eq!(g.pred_counts(), vec![0, 1, 2, 0]);
-        assert_eq!(g.succ_counts(), vec![2, 1, 0, 0]);
+        assert_eq!(preds, vec![0, 1, 2, 0]);
+        assert_eq!(succs, vec![2, 1, 0, 0]);
     }
 
     #[test]
@@ -342,6 +444,30 @@ mod tests {
         // 0->3 (via 1 or 2) and 1->4 (via 3) were redundant.
         assert!(!g.has_edge(j(0), j(3)));
         assert!(!g.has_edge(j(1), j(4)));
+    }
+
+    #[test]
+    fn chain_reduction_splits_a_chain_at_a_missing_edge() {
+        // Process 0's jobs 1 and 2 have no direct edge: 0[1] reaches 0[2]
+        // only through 1[1]. So 0[1] -> 0[3] is redundant via 0[2], and
+        // 1[1] -> 0[3] via 0[2] too.
+        let mut jobs = mk_jobs(4);
+        for (job, (p, k)) in jobs.iter_mut().zip([(0, 1), (0, 2), (0, 3), (1, 1)]) {
+            job.process = ProcessId::from_index(p);
+            job.k = k;
+        }
+        let mut g = TaskGraph::new(jobs, TimeQ::from_ms(100));
+        for (a, b) in [(0, 3), (3, 1), (1, 2), (0, 2), (3, 2)] {
+            g.add_edge(j(a), j(b));
+        }
+        let mut naive = g.clone();
+        assert_eq!(g.transitive_reduction(), 2);
+        assert_eq!(naive.transitive_reduction_naive(), 2);
+        assert_eq!(g, naive);
+        assert_eq!(
+            g.edges().collect::<Vec<_>>(),
+            vec![(j(0), j(3)), (j(1), j(2)), (j(3), j(1))]
+        );
     }
 
     #[test]

@@ -48,11 +48,12 @@ mod wcet;
 
 pub use analysis::{load, load_with, necessary_condition, AsapAlap, Infeasibility, LoadResult};
 pub use derive::{
-    derive_task_graph, derive_task_graph_unreduced, DeriveError, DerivedTaskGraph, ServerSpec,
+    derive_conflict_graph, derive_task_graph, derive_task_graph_unreduced, DeriveError,
+    DerivedTaskGraph, ServerSpec,
 };
 pub use graph::TaskGraph;
 pub use job::{Job, JobId};
-pub use pipeline::unroll_for_pipelining;
+pub use pipeline::{unroll_for_pipelining, unrolled_conflict_graph};
 pub use slots::{
     wrap_predecessors, FrameCountError, RoundResolution, SlotResolution, SlotTemplates,
 };

@@ -23,16 +23,26 @@ use crate::job::{Job, JobId};
 use crate::slots::wrap_predecessors;
 
 /// Unrolls `factor` frames of a derived task graph into a single graph
-/// with untruncated deadlines, enabling pipelined static scheduling.
+/// with untruncated deadlines, enabling pipelined static scheduling: the
+/// [`unrolled_conflict_graph`], transitively reduced.
 ///
 /// # Panics
 ///
 /// Panics if `factor == 0`.
-pub fn unroll_for_pipelining(
-    net: &Fppn,
-    derived: &DerivedTaskGraph,
-    factor: u64,
-) -> TaskGraph {
+pub fn unroll_for_pipelining(net: &Fppn, derived: &DerivedTaskGraph, factor: u64) -> TaskGraph {
+    let mut graph = unrolled_conflict_graph(net, derived, factor);
+    graph.transitive_reduction();
+    graph
+}
+
+/// The unrolled graph of [`unroll_for_pipelining`] before transitive
+/// reduction: `factor` copies of the derived graph's edges, plus the
+/// wrap-around conflict edges from each frame into the next.
+///
+/// # Panics
+///
+/// Panics if `factor == 0`.
+pub fn unrolled_conflict_graph(net: &Fppn, derived: &DerivedTaskGraph, factor: u64) -> TaskGraph {
     assert!(factor > 0, "need at least one frame");
     let base = &derived.graph;
     let h = derived.hyperperiod;
@@ -81,7 +91,6 @@ pub fn unroll_for_pipelining(
             }
         }
     }
-    graph.transitive_reduction();
     graph
 }
 

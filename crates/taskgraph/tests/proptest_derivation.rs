@@ -2,7 +2,8 @@
 
 use fppn_core::{ChannelKind, EventSpec, Fppn, FppnBuilder, ProcessSpec};
 use fppn_taskgraph::{
-    derive_task_graph, load, necessary_condition, AsapAlap, WcetModel,
+    derive_conflict_graph, derive_task_graph, load, necessary_condition, unroll_for_pipelining,
+    unrolled_conflict_graph, AsapAlap, TaskGraph, WcetModel,
 };
 use fppn_time::TimeQ;
 use proptest::prelude::*;
@@ -55,8 +56,34 @@ fn network_strategy() -> impl Strategy<Value = Fppn> {
         })
 }
 
+/// `graph` after `reduce`, and the number of edges `reduce` removed.
+fn reduced(graph: &TaskGraph, reduce: fn(&mut TaskGraph) -> usize) -> (TaskGraph, usize) {
+    let mut graph = graph.clone();
+    let removed = reduce(&mut graph);
+    (graph, removed)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The chain-indexed reduction equals the DFS oracle edge for edge and
+    /// in the removed count, on the derived graph and on its unrollings.
+    #[test]
+    fn reduction_matches_naive_oracle(net in network_strategy(), wcet_ms in 1i64..20) {
+        let wcet = WcetModel::uniform(TimeQ::from_ms(wcet_ms));
+        let conflict = derive_conflict_graph(&net, &wcet).unwrap().graph;
+        let fast = reduced(&conflict, TaskGraph::transitive_reduction);
+        prop_assert_eq!(&fast, &reduced(&conflict, TaskGraph::transitive_reduction_naive));
+        let d = derive_task_graph(&net, &wcet).unwrap();
+        prop_assert_eq!((&d.graph, d.reduced_edges), (&fast.0, fast.1));
+        for factor in 1..=3 {
+            let unrolled = unrolled_conflict_graph(&net, &d, factor);
+            let fast = reduced(&unrolled, TaskGraph::transitive_reduction);
+            let naive = reduced(&unrolled, TaskGraph::transitive_reduction_naive);
+            prop_assert_eq!(&fast, &naive, "factor {}", factor);
+            prop_assert_eq!(&unroll_for_pipelining(&net, &d, factor), &fast.0);
+        }
+    }
 
     /// Structural invariants of the derived graph.
     #[test]
