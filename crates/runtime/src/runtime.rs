@@ -17,11 +17,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use fppn_core::{
-    BehaviorBank, ExecError, Fppn, JobCtx, NetworkError, Observables, Stimuli,
-};
-use fppn_sched::StaticSchedule;
-use fppn_taskgraph::{wrap_predecessors, DerivedTaskGraph, RoundResolution};
+use fppn_core::{BehaviorBank, ExecError, JobCtx, NetworkError, Observables, Stimuli};
+use fppn_sim::CompiledNetwork;
+use fppn_taskgraph::{BindError, JobId};
 use parking_lot::{Condvar, Mutex};
 
 use crate::store::{ConcurrentStore, StoreAccess};
@@ -69,7 +67,7 @@ pub enum RuntimeError {
     /// A behavior or a worker thread panicked.
     WorkerPanicked,
     /// The [`RuntimeConfig`] is unusable, e.g. a frame count whose round
-    /// table cannot be held. Raised before any worker starts.
+    /// tables cannot be held. Raised before any worker starts.
     InvalidConfig(String),
 }
 
@@ -86,9 +84,12 @@ impl fmt::Display for RuntimeError {
 
 impl Error for RuntimeError {}
 
-impl From<NetworkError> for RuntimeError {
-    fn from(e: NetworkError) -> Self {
-        RuntimeError::Network(e)
+impl From<BindError> for RuntimeError {
+    fn from(e: BindError) -> Self {
+        match e {
+            BindError::Stimuli(e) => RuntimeError::Network(e),
+            e @ BindError::FrameCount { .. } => RuntimeError::InvalidConfig(e.to_string()),
+        }
     }
 }
 
@@ -99,13 +100,6 @@ struct DoneTable {
 }
 
 impl DoneTable {
-    fn new(len: usize) -> Self {
-        DoneTable {
-            flags: Mutex::new(vec![false; len]),
-            cv: Condvar::new(),
-        }
-    }
-
     fn mark(&self, idx: usize) {
         let mut flags = self.flags.lock();
         flags[idx] = true;
@@ -120,8 +114,10 @@ impl DoneTable {
     }
 }
 
-/// Executes `config.frames` frames of the static-order policy on real
-/// threads (one per processor of the schedule).
+/// Executes `config.frames` frames of the compiled static-order policy on
+/// real threads, one per processor of the artifact's schedule. The
+/// processor orders, wrap-around predecessors and slot templates are the
+/// artifact's own tables, the ones the simulator runs.
 ///
 /// # Errors
 ///
@@ -130,26 +126,22 @@ impl DoneTable {
 /// or panicking job stops every later job from executing, but each worker
 /// still marks its rounds done, so no peer waits forever.
 pub fn run_threaded(
-    net: &Fppn,
+    artifact: &CompiledNetwork,
     bank: &BehaviorBank,
     stimuli: &Stimuli,
-    derived: &DerivedTaskGraph,
-    schedule: &StaticSchedule,
     config: &RuntimeConfig,
 ) -> Result<RuntimeRun, RuntimeError> {
-    stimuli.validate(net)?;
-    let graph = &derived.graph;
+    let (net, tables) = (artifact.net(), artifact.tables());
+    let graph = &artifact.derived().graph;
     let n_jobs = graph.job_count();
     let frames = config.frames;
-    let m_procs = schedule.processors();
-    let resolution = RoundResolution::resolve(net, derived, stimuli, frames)
-        .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
-    let wraps = wrap_predecessors(net, derived);
-    let proc_orders: Vec<Vec<fppn_taskgraph::JobId>> =
-        (0..m_procs).map(|m| schedule.processor_order(m)).collect();
+    let slots = tables.templates().bind(net, stimuli, frames)?;
 
+    let done = DoneTable {
+        flags: Mutex::new(slots.slot_table(false)?),
+        cv: Condvar::new(),
+    };
     let store = ConcurrentStore::new(net, stimuli.clone());
-    let done = DoneTable::new(frames as usize * n_jobs);
     let behaviors: Vec<Mutex<fppn_core::BoxedBehavior>> =
         bank.instantiate().into_iter().map(Mutex::new).collect();
     let first_error: Mutex<Option<ExecError>> = Mutex::new(None);
@@ -158,14 +150,12 @@ pub fn run_threaded(
     let skipped = Mutex::new(0usize);
     let epoch = Instant::now();
 
-    let round_idx = |frame: u64, job: fppn_taskgraph::JobId| -> usize {
-        frame as usize * n_jobs + job.index()
-    };
+    let round_idx = |frame: u64, job: JobId| -> usize { frame as usize * n_jobs + job.index() };
 
     let worker = |m: usize| {
         for frame in 0..frames {
-            for &job_id in &proc_orders[m] {
-                let res = resolution.get(frame, job_id);
+            for &job_id in tables.proc_order(m) {
+                let res = slots.slot(frame, job_id);
                 // Synchronize Precedence: same-frame predecessors plus
                 // wrap-around predecessors from the previous frame.
                 let mut deps: Vec<usize> = graph
@@ -173,7 +163,8 @@ pub fn run_threaded(
                     .map(|p| round_idx(frame, p))
                     .collect();
                 if frame > 0 {
-                    deps.extend(wraps[job_id.index()].iter().map(|&p| round_idx(frame - 1, p)));
+                    let wraps = tables.wrap_preds(job_id);
+                    deps.extend(wraps.iter().map(|&p| round_idx(frame - 1, p)));
                 }
                 done.wait_all(&deps);
 
@@ -216,7 +207,9 @@ pub fn run_threaded(
     };
 
     let worker_died = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..m_procs).map(|m| s.spawn(move || worker(m))).collect();
+        let handles: Vec<_> = (0..tables.processors())
+            .map(|m| s.spawn(move || worker(m)))
+            .collect();
         // Join every handle: `any` would stop at the first dead worker.
         handles
             .into_iter()
@@ -240,15 +233,26 @@ pub fn run_threaded(
 mod tests {
     use super::*;
     use fppn_core::{
-        run_zero_delay, ChannelKind, EventSpec, FppnBuilder, JobOrdering, PortId, ProcessSpec,
-        SporadicTrace, Value,
+        run_zero_delay, ChannelKind, EventSpec, Fppn, FppnBuilder, JobOrdering, PortId,
+        ProcessSpec, SporadicTrace, Value,
     };
-    use fppn_sched::{list_schedule, Heuristic};
-    use fppn_taskgraph::{derive_task_graph, WcetModel};
+    use fppn_sched::Heuristic;
+    use fppn_sim::{clip_stimuli, CompileConfig};
+    use fppn_taskgraph::WcetModel;
     use fppn_time::TimeQ;
 
     fn ms(v: i64) -> TimeQ {
         TimeQ::from_ms(v)
+    }
+
+    /// Compiles `net` with a uniform 10 ms WCET onto `processors`
+    /// processors under `heuristic`.
+    fn compile(net: Fppn, processors: usize, heuristic: Heuristic) -> CompiledNetwork {
+        let config = CompileConfig {
+            heuristic,
+            ..CompileConfig::new(WcetModel::uniform(ms(10)), processors)
+        };
+        CompiledNetwork::compile(net, &config).unwrap()
     }
 
     /// Three-stage pipeline with a side sporadic configurator.
@@ -292,11 +296,14 @@ mod tests {
     #[test]
     fn threaded_matches_zero_delay_on_multiple_processors() {
         let (net, bank, cfg) = app();
-        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
         let frames = 4;
+        let artifacts: Vec<_> = (1..=3)
+            .map(|m| compile(net.clone(), m, Heuristic::AlapEdf))
+            .collect();
+        let derived = artifacts[0].derived();
         let mut stimuli = Stimuli::new();
         stimuli.arrivals(cfg, SporadicTrace::new(vec![ms(30), ms(450)]));
-        let stimuli = fppn_sim_clip(&net, &derived, &stimuli, frames);
+        let stimuli = clip_stimuli(&net, derived, &stimuli, frames);
 
         let mut behaviors = bank.instantiate();
         let horizon = TimeQ::from_int(frames as i64) * derived.hyperperiod;
@@ -304,16 +311,14 @@ mod tests {
             run_zero_delay(&net, &mut behaviors, &stimuli, horizon, JobOrdering::default())
                 .unwrap();
 
-        for m in 1..=3 {
-            let schedule = list_schedule(&derived.graph, m, Heuristic::AlapEdf);
+        for artifact in &artifacts {
+            let m = artifact.tables().processors();
             // Repeat several times: OS interleavings vary, outputs must not.
             for rep in 0..10 {
                 let run = run_threaded(
-                    &net,
+                    artifact,
                     &bank,
                     &stimuli,
-                    &derived,
-                    &schedule,
                     &RuntimeConfig {
                         frames,
                         us_per_ms: 0,
@@ -332,18 +337,16 @@ mod tests {
     #[test]
     fn paced_execution_also_matches() {
         let (net, bank, cfg) = app();
-        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
+        let artifact = compile(net.clone(), 2, Heuristic::AlapEdf);
+        let derived = artifact.derived();
         let frames = 2;
         let mut stimuli = Stimuli::new();
         stimuli.arrivals(cfg, SporadicTrace::new(vec![ms(30)]));
-        let stimuli = fppn_sim_clip(&net, &derived, &stimuli, frames);
-        let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
+        let stimuli = clip_stimuli(&net, derived, &stimuli, frames);
         let run = run_threaded(
-            &net,
+            &artifact,
             &bank,
             &stimuli,
-            &derived,
-            &schedule,
             &RuntimeConfig {
                 frames,
                 us_per_ms: 20, // 400 model-ms ≈ 8 real ms
@@ -357,32 +360,6 @@ mod tests {
                 .unwrap();
         assert_eq!(run.observables.diff(&reference.observables), None);
         assert!(run.executed > 0);
-    }
-
-    /// Local re-implementation of `fppn_sim::clip_stimuli` to avoid a dev
-    /// dependency cycle: drops sporadic arrivals not covered by the
-    /// simulated frames.
-    fn fppn_sim_clip(
-        net: &Fppn,
-        derived: &fppn_taskgraph::DerivedTaskGraph,
-        stimuli: &Stimuli,
-        frames: u64,
-    ) -> Stimuli {
-        let mut clipped = stimuli.clone();
-        let end = TimeQ::from_int(frames as i64) * derived.hyperperiod;
-        for pid in net.process_ids() {
-            if let Some(server) = derived.server(pid) {
-                let last = end - server.period;
-                let keep: Vec<TimeQ> = stimuli
-                    .arrival_times(pid)
-                    .iter()
-                    .copied()
-                    .filter(|&t| if server.priority_over_user { t <= last } else { t < last })
-                    .collect();
-                clipped.arrivals(pid, keep.into_iter().collect());
-            }
-        }
-        clipped
     }
 
     #[test]
@@ -401,16 +378,8 @@ mod tests {
             Box::new(fppn_core::automaton::AutomatonBehavior::new(a.clone()))
         });
         let (net, bank) = b.build().unwrap();
-        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
-        let schedule = list_schedule(&derived.graph, 1, Heuristic::AlapEdf);
-        let err = run_threaded(
-            &net,
-            &bank,
-            &Stimuli::new(),
-            &derived,
-            &schedule,
-            &RuntimeConfig::default(),
-        );
+        let artifact = compile(net, 1, Heuristic::AlapEdf);
+        let err = run_threaded(&artifact, &bank, &Stimuli::new(), &RuntimeConfig::default());
         assert!(matches!(err, Err(RuntimeError::Exec(_))));
     }
 
@@ -439,13 +408,12 @@ mod tests {
     #[test]
     fn behavior_panic_on_one_processor_is_reported() {
         let (net, bank) = panicking_writer();
-        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
-        let schedule = list_schedule(&derived.graph, 1, Heuristic::AlapEdf);
+        let artifact = compile(net, 1, Heuristic::AlapEdf);
         let config = RuntimeConfig {
             frames: 4,
             us_per_ms: 0,
         };
-        let outcome = run_threaded(&net, &bank, &Stimuli::new(), &derived, &schedule, &config);
+        let outcome = run_threaded(&artifact, &bank, &Stimuli::new(), &config);
         assert!(
             matches!(outcome, Err(RuntimeError::WorkerPanicked)),
             "{:?}",
@@ -455,63 +423,65 @@ mod tests {
 
     /// The panicking writer on processor 0 and its reader on processor 1:
     /// the reader's next round waits on the writer's done flag, which a
-    /// panicking job must still set. Run on a separate thread so that a
-    /// hang fails the test instead of stalling the suite.
+    /// panicking job must still set. Every heuristic's 2-processor schedule
+    /// places them so. Run on a separate thread so that a hang fails the
+    /// test instead of stalling the suite.
     #[test]
     fn behavior_panic_does_not_strand_a_reader_on_another_processor() {
-        use fppn_sched::Placement;
         let (net, bank) = panicking_writer();
-        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
         let writer = net.process_by_name("writer").unwrap();
-        let placements = derived
-            .graph
-            .job_ids()
-            .map(|job| {
-                let on_writer = derived.graph.job(job).process == writer;
-                Placement {
-                    job,
-                    processor: usize::from(!on_writer),
-                    start: if on_writer { ms(0) } else { ms(10) },
+        let artifacts: Vec<CompiledNetwork> = Heuristic::ALL
+            .into_iter()
+            .map(|heuristic| {
+                let artifact = compile(net.clone(), 2, heuristic);
+                let graph = &artifact.derived().graph;
+                for m in 0..2 {
+                    for &job in artifact.tables().proc_order(m) {
+                        let on_writer = graph.job(job).process == writer;
+                        assert_eq!(m, usize::from(!on_writer), "{heuristic}: {job:?} on P{m}");
+                    }
                 }
+                artifact
             })
             .collect();
-        let schedule = StaticSchedule::new(placements, 2, derived.hyperperiod);
         let (tx, rx) = std::sync::mpsc::channel();
         let runner = std::thread::spawn(move || {
             let config = RuntimeConfig {
                 frames: 4,
                 us_per_ms: 0,
             };
-            let outcome = run_threaded(&net, &bank, &Stimuli::new(), &derived, &schedule, &config);
-            let _ = tx.send(outcome.map(|run| run.executed));
+            for artifact in &artifacts {
+                let outcome = run_threaded(artifact, &bank, &Stimuli::new(), &config);
+                let _ = tx.send(outcome.map(|run| run.executed));
+            }
         });
-        let outcome = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("run_threaded hung after a behavior panic");
+        for heuristic in Heuristic::ALL {
+            let outcome = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("run_threaded hung after a behavior panic");
+            assert!(
+                matches!(outcome, Err(RuntimeError::WorkerPanicked)),
+                "{heuristic}: {outcome:?}"
+            );
+        }
         runner
             .join()
-            .expect("the runner thread returned its outcome");
-        assert!(
-            matches!(outcome, Err(RuntimeError::WorkerPanicked)),
-            "{outcome:?}"
-        );
+            .expect("the runner thread returned its outcomes");
     }
 
     #[test]
     fn unholdable_frame_count_is_a_typed_error() {
-        // One job per frame: 2^60 resolved slots are past `isize::MAX`
-        // bytes, so the reservation is refused on any host without asking
-        // the allocator.
+        // One job per frame: 2^60 done flags take an exabyte, more than
+        // any address space holds, so the reservation fails on any host.
         let mut b = FppnBuilder::new();
         b.process(ProcessSpec::new("p", EventSpec::periodic(ms(100))));
         let (net, bank) = b.build().unwrap();
-        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
-        let schedule = list_schedule(&derived.graph, 1, Heuristic::AlapEdf);
+        let artifact = compile(net, 1, Heuristic::AlapEdf);
         let config = RuntimeConfig {
             frames: 1 << 60,
             us_per_ms: 0,
         };
-        match run_threaded(&net, &bank, &Stimuli::new(), &derived, &schedule, &config) {
+        match run_threaded(&artifact, &bank, &Stimuli::new(), &config) {
             Err(RuntimeError::InvalidConfig(msg)) => assert!(msg.contains("frames"), "{msg}"),
             other => panic!(
                 "expected InvalidConfig, got {:?}",

@@ -29,7 +29,8 @@ use crate::cancel::CancelToken;
 use crate::exectime::ExecTimeModel;
 use crate::policy::{run, RoundScratch, SimConfig, SimError, SimRun};
 
-/// The stimuli-independent round tables shared by every run: CSR
+/// The stimuli-independent round tables shared by every run of every
+/// executor (simulator, threaded runtime, timed automata): CSR
 /// per-processor static orders, CSR wrap-around predecessors, topological
 /// positions and the per-job slot templates. A pure function of
 /// `(network, derived graph, schedule)`, built once per compile.
@@ -37,16 +38,16 @@ use crate::policy::{run, RoundScratch, SimConfig, SimError, SimRun};
 pub struct StaticTables {
     /// CSR over processors: `proc_order_data[bounds[m]..bounds[m + 1]]`
     /// is processor `m`'s static round order.
-    pub(crate) proc_order_data: Vec<JobId>,
-    pub(crate) proc_order_bounds: Vec<usize>,
+    proc_order_data: Vec<JobId>,
+    proc_order_bounds: Vec<usize>,
     /// CSR over jobs: the previous-frame (wrap-around) predecessors.
     pub(crate) wrap_pred_data: Vec<JobId>,
-    pub(crate) wrap_pred_bounds: Vec<usize>,
+    wrap_pred_bounds: Vec<usize>,
     /// Topological position of every job — the last component of the
     /// canonical record key (see `crate::order`).
     pub(crate) topo_pos: Vec<usize>,
     /// Stimuli-independent half of slot resolution.
-    pub(crate) templates: SlotTemplates,
+    templates: SlotTemplates,
 }
 
 impl StaticTables {
@@ -55,8 +56,7 @@ impl StaticTables {
         let graph = &derived.graph;
         let (proc_order_data, proc_order_bounds) = schedule.processor_order_csr();
 
-        // Cross-frame wrap edges (shared with the threaded runtime; see
-        // fppn-taskgraph), flattened to CSR over job ids.
+        // Cross-frame wrap edges, flattened to CSR over job ids.
         let wrap_preds = wrap_predecessors(net, derived);
         let mut wrap_pred_data = Vec::new();
         let mut wrap_pred_bounds = Vec::with_capacity(graph.job_count() + 1);
@@ -87,6 +87,23 @@ impl StaticTables {
     /// The number of processors covered by the per-processor orders.
     pub fn processors(&self) -> usize {
         self.proc_order_bounds.len() - 1
+    }
+
+    /// Processor `m`'s static round order.
+    pub fn proc_order(&self, m: usize) -> &[JobId] {
+        &self.proc_order_data[self.proc_order_bounds[m]..self.proc_order_bounds[m + 1]]
+    }
+
+    /// The previous-frame (wrap-around) predecessors of job `id`.
+    pub fn wrap_preds(&self, id: JobId) -> &[JobId] {
+        let bounds = &self.wrap_pred_bounds;
+        &self.wrap_pred_data[bounds[id.index()]..bounds[id.index() + 1]]
+    }
+
+    /// The stimuli-independent slot templates, which
+    /// [`SlotTemplates::bind`] binds to each run's stimuli.
+    pub fn templates(&self) -> &SlotTemplates {
+        &self.templates
     }
 }
 

@@ -68,5 +68,4 @@ pub use policy::{simulate, JobRecord, SimConfig, SimError, SimRun, SimStats};
 pub use stimgen::adversarial::{adversarial_stimuli, max_density_flood_trace, AdversarialClass};
 pub use stimgen::{
     clip_stimuli, random_sporadic_trace, random_stimuli, sporadic_processes, tiled_sporadic_trace,
-    validate_stimuli,
 };

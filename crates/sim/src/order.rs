@@ -83,9 +83,11 @@ pub(crate) fn canonicalize(topo_pos: &[usize], process_count: usize, records: &m
 mod tests {
     use super::*;
     use fppn_apps::{fft_network, fft_wcet, fms_network, fms_wcet, FmsVariant};
-    use fppn_core::Stimuli;
+    use fppn_core::{
+        BehaviorBank, ChannelKind, EventSpec, Fppn, FppnBuilder, ProcessSpec, Stimuli,
+    };
     use fppn_sched::{list_schedule, Heuristic};
-    use fppn_taskgraph::derive_task_graph;
+    use fppn_taskgraph::{derive_task_graph, WcetModel};
 
     use crate::stimgen::splitmix64;
     use crate::{simulate, OverheadModel, SimConfig, StaticTables};
@@ -100,17 +102,36 @@ mod tests {
         hyperperiod: TimeQ,
     }
 
-    /// Two runs that stress the key:
+    /// A 200 ms user whose one job fills its whole frame, and an idle
+    /// sporadic (2, 700 ms) configurator with functional priority over it,
+    /// every job with a 200 ms WCET.
+    fn boundary_tie() -> (Fppn, BehaviorBank, WcetModel) {
+        let ms = TimeQ::from_ms;
+        let mut b = FppnBuilder::new();
+        let user = b.process(ProcessSpec::new("user", EventSpec::periodic(ms(200))));
+        let cfg = b.process(ProcessSpec::new("cfg", EventSpec::sporadic(2, ms(700))));
+        b.channel("c", cfg, user, ChannelKind::Blackboard);
+        b.priority(cfg, user);
+        let (net, bank) = b.build().expect("valid network");
+        (net, bank, WcetModel::uniform(ms(200)))
+    }
+
+    /// Three runs that stress the key:
     ///
     /// * Fig. 6's FFT on one processor with the MPPA overhead: frames
     ///   overrun their hyperperiod, so a frame's records complete inside
     ///   the next frame's window;
     /// * FMS on four processors with its configurators idle: every server
     ///   slot is false and resolves at its window close, so false slots
-    ///   on different processors complete at equal times in one frame.
+    ///   on different processors complete at equal times in one frame;
+    /// * [`boundary_tie`] on one processor: the user's frame-`f` record
+    ///   completes at `(f + 1)·H`, where the configurator's false slots of
+    ///   frame `f + 1`, which precede the user topologically, resolve too.
+    ///   Only the `frame` component of the key orders that tie.
     fn real_runs() -> Vec<RealRun> {
         let (fft, fft_bank, _) = fft_network();
         let (fms, fms_bank, ids) = fms_network(FmsVariant::Original);
+        let (tie, tie_bank, tie_wcet) = boundary_tie();
         [
             (
                 "fft-1proc-overhead",
@@ -128,6 +149,15 @@ mod tests {
                 fms_wcet(&ids),
                 4,
                 2,
+                OverheadModel::NONE,
+            ),
+            (
+                "boundary-tie",
+                tie,
+                tie_bank,
+                tie_wcet,
+                1,
+                3,
                 OverheadModel::NONE,
             ),
         ]
@@ -184,7 +214,7 @@ mod tests {
 
     #[test]
     fn canonical_order_matches_a_naive_sort_of_shuffled_real_records() {
-        let (mut overrun, mut tied_false_slots) = (false, false);
+        let (mut overrun, mut tied_false_slots, mut frame_tie) = (false, false, false);
         for run in real_runs() {
             let label = run.label;
             let (topo_pos, process_count) = (&run.topo_pos, run.process_count);
@@ -200,6 +230,11 @@ mod tests {
                     && (w[0].completion, w[0].frame) == (w[1].completion, w[1].frame)
                     && w[0].processor != w[1].processor
             });
+            // Records of two frames complete together.
+            frame_tie |= run
+                .records
+                .windows(2)
+                .any(|w| w[0].completion == w[1].completion && w[0].frame != w[1].frame);
 
             // The whole-run order and the `global_k` numbering.
             let expected = naive_canonical(topo_pos, process_count, &run.records);
@@ -240,5 +275,6 @@ mod tests {
             tied_false_slots,
             "no run reaches the topological tie-breaker"
         );
+        assert!(frame_tie, "no run reaches the frame tie-breaker");
     }
 }

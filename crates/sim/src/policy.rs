@@ -40,7 +40,7 @@ use std::fmt;
 use fppn_core::{
     BehaviorBank, ExecError, ExecState, Fppn, NetworkError, Observables, ProcessId, Stimuli,
 };
-use fppn_taskgraph::{DerivedTaskGraph, JobId, TaskGraph};
+use fppn_taskgraph::{BindError, DerivedTaskGraph, JobId, TaskGraph};
 use fppn_sched::StaticSchedule;
 use fppn_time::TimeQ;
 
@@ -183,9 +183,12 @@ impl fmt::Display for SimError {
 
 impl Error for SimError {}
 
-impl From<NetworkError> for SimError {
-    fn from(e: NetworkError) -> Self {
-        SimError::Network(e)
+impl From<BindError> for SimError {
+    fn from(e: BindError) -> Self {
+        match e {
+            BindError::Stimuli(e) => SimError::Network(e),
+            e @ BindError::FrameCount { .. } => SimError::InvalidConfig(e.to_string()),
+        }
     }
 }
 
@@ -286,8 +289,9 @@ pub(crate) struct RoundEngine<'a> {
 }
 
 impl<'a> RoundEngine<'a> {
-    /// Validates the configuration and the stimuli and binds the per-run
-    /// slabs to the borrowed compile-phase tables.
+    /// Validates the configuration, binds (and so validates) the stimuli
+    /// through `SlotTemplates::bind` and fills the per-run slabs beside the
+    /// borrowed compile-phase tables.
     pub(crate) fn new(
         net: &Fppn,
         stimuli: &Stimuli,
@@ -296,20 +300,18 @@ impl<'a> RoundEngine<'a> {
         config: &SimConfig,
     ) -> Result<Self, SimError> {
         config.exec_time.validate().map_err(SimError::InvalidConfig)?;
-        stimuli.validate(net)?;
         let graph = &derived.graph;
         let h = derived.hyperperiod;
         let frames = config.frames;
         let n_jobs = graph.job_count();
         let m_procs = tables.processors();
-        debug_assert_eq!(tables.templates.job_count(), n_jobs);
+        debug_assert_eq!(tables.templates().job_count(), n_jobs);
+        let slots = tables.templates().bind(net, stimuli, frames)?;
 
-        // Every slab is reserved before any is filled, so a frame count the
-        // host cannot hold fails here, before any per-slot work.
-        let overflow =
-            || SimError::InvalidConfig(format!("{frames} frames of {n_jobs} jobs overflow usize"));
-        let frame_count = usize::try_from(frames).map_err(|_| overflow())?;
-        let total = frame_count.checked_mul(n_jobs).ok_or_else(overflow)?;
+        // `bind` checked that `frames × n_jobs` fits `usize`. Every slab is
+        // reserved before any is filled, so a frame count the host cannot
+        // hold fails here, before any per-slot work.
+        let total = frames as usize * n_jobs;
         let mut slot_invoked = Vec::new();
         let mut slot_deadline = Vec::new();
         let mut slot_executable = Vec::new();
@@ -319,11 +321,11 @@ impl<'a> RoundEngine<'a> {
         try_reserve(&mut slot_deadline, total)?;
         try_reserve(&mut slot_executable, total)?;
         try_reserve(&mut exec_times, total)?;
-        try_reserve(&mut frame_gates, frame_count)?;
+        try_reserve(&mut frame_gates, frames as usize)?;
 
         // Per-instance slot resolution, streamed straight into SoA slabs
         // in canonical (frame, job-id) order.
-        tables.templates.for_each_slot(stimuli, frames, |res| {
+        slots.for_each_slot(|res| {
             slot_invoked.push(res.invoked_at);
             slot_deadline.push(res.deadline);
             slot_executable.push(res.executable);
@@ -407,18 +409,6 @@ impl<'a> RoundEngine<'a> {
         self.frames as usize * self.n_jobs
     }
 
-    /// Processor `m`'s static round order.
-    fn proc_order(&self, m: usize) -> &[JobId] {
-        let t = self.tables;
-        &t.proc_order_data[t.proc_order_bounds[m]..t.proc_order_bounds[m + 1]]
-    }
-
-    /// The previous-frame (wrap-around) predecessors of a job.
-    fn wrap_preds_of(&self, id: JobId) -> &[JobId] {
-        let t = self.tables;
-        &t.wrap_pred_data[t.wrap_pred_bounds[id.index()]..t.wrap_pred_bounds[id.index() + 1]]
-    }
-
     /// Attempts the round `(frame, id)` on processor `m` whose timeline is
     /// free at `proc_avail`. `completion_of` reports the completion time of
     /// an already-finished round (`None` = not finished yet).
@@ -441,7 +431,7 @@ impl<'a> RoundEngine<'a> {
             ready_at = ready_at.max(completion_of(frame, p)?);
         }
         if frame > 0 {
-            for &p in self.wrap_preds_of(id) {
+            for &p in self.tables.wrap_preds(id) {
                 ready_at = ready_at.max(completion_of(frame - 1, p)?);
             }
         }
@@ -552,9 +542,11 @@ impl<'a> RoundEngine<'a> {
             if memo.sorted {
                 order::sort_block(topo_pos, &mut records[f * n_jobs..]);
             }
-            // No later frame can match the last frame, nor frame 0 on a
-            // network with wrap predecessors: its carry-in has no wrap part.
-            if frame + 1 < self.frames && (f > 0 || wrap_preds.is_empty()) {
+            // No later frame can match the last frame, nor frame 0: its
+            // carry-in has no wrap part, and every network has wrap
+            // predecessors, since `wrap_predecessors` makes each process's
+            // last job a wrap predecessor of its own first job.
+            if frame + 1 < self.frames && f > 0 {
                 memo.insert(
                     f,
                     base,
@@ -574,6 +566,12 @@ impl<'a> RoundEngine<'a> {
     /// no check; they are frame-invariant relative to the base (pinned by a
     /// `debug_assert` in [`RoundEngine::new`]).
     ///
+    /// A server slot's invocation needs no compare of its own: once the two
+    /// slots' `executable` flags agree, equal deadlines imply equal
+    /// invocations. An executable slot's deadline is its invocation plus
+    /// the job's relative deadline, the same constant in both frames, and
+    /// a false slot's deadline is its invocation.
+    ///
     /// Under [`OverheadModel`] the gate compare never decides a lookup:
     /// [`fppn_taskgraph::wrap_predecessors`] links every process to its own
     /// next-frame job, so frame 0 is never a source, and every later gate
@@ -591,7 +589,6 @@ impl<'a> RoundEngine<'a> {
         self.frame_gates[frame] == self.frame_gates[src_frame] + delta
             && self.server_slots.iter().all(|&j| {
                 self.slot_executable[cur + j] == self.slot_executable[src + j]
-                    && self.slot_invoked[cur + j] == self.slot_invoked[src + j] + delta
                     && self.slot_deadline[cur + j] == self.slot_deadline[src + j] + delta
             })
     }
@@ -619,7 +616,7 @@ impl<'a> RoundEngine<'a> {
             }
             let mut progressed = false;
             for (m, cursor) in cursors.iter_mut().enumerate() {
-                let order = self.proc_order(m);
+                let order = self.tables.proc_order(m);
                 while cursor.1 < order.len() {
                     let id = order[cursor.1];
                     let lookup =
@@ -677,7 +674,7 @@ impl<'a> RoundEngine<'a> {
             }
             let before = records.len();
             for (m, cursor) in cursors.iter_mut().enumerate() {
-                let order = self.proc_order(m);
+                let order = self.tables.proc_order(m);
                 loop {
                     let (frame, idx) = *cursor;
                     if frame >= self.frames {

@@ -172,13 +172,6 @@ pub fn random_stimuli(net: &Fppn, horizon: TimeQ, density_permille: u32, seed: u
     stimuli
 }
 
-/// Validates that every generated sporadic trace satisfies its generator's
-/// constraint (used by the property test-suite; generation should always
-/// pass this by construction).
-pub fn validate_stimuli(net: &Fppn, stimuli: &Stimuli) -> bool {
-    stimuli.validate(net).is_ok()
-}
-
 /// Convenience: the process ids of all sporadic processes of a network.
 pub fn sporadic_processes(net: &Fppn) -> Vec<ProcessId> {
     net.process_ids()
@@ -352,7 +345,7 @@ mod tests {
         let (net, _) = b.build().unwrap();
         for seed in 0..20 {
             let stimuli = random_stimuli(&net, ms(20_000), 1000, seed);
-            assert!(validate_stimuli(&net, &stimuli));
+            assert!(stimuli.validate(&net).is_ok());
             let arrivals = stimuli.arrival_trace(s).len() as u64;
             assert!(arrivals > 0, "seed {seed}: max density generated no events");
             // One sample per executed job k = 1..=arrivals.
@@ -379,7 +372,7 @@ mod tests {
         b.priority(s2, u);
         let (net, _) = b.build().unwrap();
         let stimuli = random_stimuli(&net, ms(4000), 900, 3);
-        assert!(validate_stimuli(&net, &stimuli));
+        assert!(stimuli.validate(&net).is_ok());
         assert_eq!(sporadic_processes(&net), vec![s1, s2]);
         // Input stream present for the user's port.
         assert!(stimuli

@@ -6,7 +6,7 @@
 //!
 //! - **BoundaryBurst** — arrivals placed *exactly on* server-window
 //!   boundaries `b = j·T′`, and at `b ± ε`, to exercise the half-open
-//!   subset-mapping rule of `RoundResolution::resolve` (the subset at `b`
+//!   subset-mapping rule of `SlotTemplates::bind` (the subset at `b`
 //!   covers `(b − T′, b]` when the sporadic has priority over its user,
 //!   `[b − T′, b)` otherwise) from both sides of every boundary.
 //! - **MaxDensityFlood** — the densest trace the `(m, T)` constraint
@@ -273,7 +273,7 @@ fn sample_budget(net: &Fppn, pid: ProcessId, horizon: TimeQ, trace_len: u64) -> 
 ///
 /// The result always satisfies every sporadic `(m, T)` constraint
 /// (checked by construction via greedy admissible placement); callers
-/// can still assert [`validate_stimuli`](super::validate_stimuli).
+/// can still assert [`Stimuli::validate`].
 pub fn adversarial_stimuli(
     net: &Fppn,
     derived: &DerivedTaskGraph,
@@ -356,7 +356,6 @@ pub fn adversarial_stimuli(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stimgen::validate_stimuli;
     use fppn_core::{ChannelKind, EventSpec, FppnBuilder, ProcessSpec};
     use fppn_taskgraph::{derive_task_graph, WcetModel};
 
@@ -389,7 +388,7 @@ mod tests {
             for seed in 0..25u64 {
                 let s = adversarial_stimuli(&net, &derived, ms(10_000), class, seed);
                 assert!(
-                    validate_stimuli(&net, &s),
+                    s.validate(&net).is_ok(),
                     "{} seed {seed}: inadmissible stimuli",
                     class.name()
                 );

@@ -7,10 +7,11 @@
 //! * model types: extended timed automata — clocks, invariants, guarded
 //!   edges, shared boolean variables (re-exported at the crate root).
 //! * [`simulate_network`]: a deterministic simulator for such networks.
-//! * [`translate`]: compiles an FPPN, its derived task graph, a static
-//!   schedule and resolved sporadic arrivals into one scheduler automaton
-//!   per processor; simulating the result reproduces the §IV policy
-//!   timeline, which the integration suite cross-checks against `fppn-sim`.
+//! * [`translate`]: compiles the simulator's `CompiledNetwork` and its
+//!   sporadic arrivals, bound by the simulator's `SlotTemplates::bind`,
+//!   into one scheduler automaton per processor; simulating the result
+//!   reproduces the §IV policy timeline, which the integration suite
+//!   cross-checks against `fppn-sim`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

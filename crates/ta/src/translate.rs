@@ -1,20 +1,19 @@
-//! Automatic translation of an FPPN + static schedule into a network of
-//! timed automata — the code-generation pipeline of the paper's tools (ref. \[10\]).
+//! Automatic translation of a compiled FPPN into a network of timed
+//! automata — the code-generation pipeline of the paper's tools (ref. \[10\]).
 //!
-//! Each processor of the schedule becomes one timed automaton that walks
-//! its static-order round list: a `wait` location per round (guarded by the
-//! job's invocation time and its predecessors' completion flags), an `exec`
-//! location held exactly `C_i` time units by an invariant/guard pair, and a
-//! completion edge setting the job's `done` variable. False sporadic slots
-//! translate to guarded skip edges. Simulating the resulting network with
-//! [`crate::simulate_network`] reproduces the §IV policy timeline exactly —
-//! cross-checked against `fppn-sim` by the integration test-suite.
+//! Each processor of the artifact's schedule becomes one timed automaton
+//! that walks its static-order round list: a `wait` location per round
+//! (guarded by the job's invocation time and its predecessors' completion
+//! flags), an `exec` location held exactly `C_i` time units by an
+//! invariant/guard pair, and a completion edge setting the job's `done`
+//! variable. False sporadic slots translate to guarded skip edges.
+//! Simulating the resulting network with [`crate::simulate_network`]
+//! reproduces the §IV policy timeline exactly — cross-checked against
+//! `fppn-sim` by the integration test-suite.
 
-use fppn_core::{Fppn, Stimuli};
-use fppn_sched::StaticSchedule;
-use fppn_taskgraph::{
-    wrap_predecessors, DerivedTaskGraph, FrameCountError, JobId, RoundResolution,
-};
+use fppn_core::Stimuli;
+use fppn_sim::CompiledNetwork;
+use fppn_taskgraph::{BindError, JobId};
 use fppn_time::TimeQ;
 
 use crate::model::{Guard, TaEdge, TaNetwork, TimedAutomaton};
@@ -52,7 +51,7 @@ pub struct JobTiming {
     pub skipped: bool,
 }
 
-/// Translates the network, schedule and (resolved) stimuli over `frames`
+/// Translates the compiled network with its stimuli bound over `frames`
 /// frames into a TA network.
 ///
 /// Like the paper's generator, the translation bakes the schedule and the
@@ -60,53 +59,43 @@ pub struct JobTiming {
 ///
 /// # Errors
 ///
-/// Returns [`FrameCountError`] when `frames` rounds of the task graph
-/// cannot be held in memory, before any automaton is built.
+/// Returns [`BindError`] on invalid stimuli, or when `frames` rounds of the
+/// task graph cannot be held in memory, before any automaton is built.
 pub fn translate(
-    net: &Fppn,
-    derived: &DerivedTaskGraph,
-    schedule: &StaticSchedule,
+    artifact: &CompiledNetwork,
     stimuli: &Stimuli,
     frames: u64,
-) -> Result<Translation, FrameCountError> {
+) -> Result<Translation, BindError> {
+    let (derived, tables) = (artifact.derived(), artifact.tables());
     let graph = &derived.graph;
     let n_jobs = graph.job_count();
-    let resolution = RoundResolution::resolve(net, derived, stimuli, frames)?;
-    let wraps = wrap_predecessors(net, derived);
+    let slots = tables.templates().bind(artifact.net(), stimuli, frames)?;
 
     let mut network = TaNetwork::new();
-    // done variable per (frame, job); the resolution checked the product.
-    let mut done = Vec::with_capacity(frames as usize * n_jobs);
-    for f in 0..frames {
-        for j in 0..n_jobs {
-            done.push(network.variable(format!("done_{f}_{j}")));
-        }
+    // One done variable per (frame, job), in a fallibly allocated table.
+    let mut done = slots.slot_table(0)?;
+    for (i, var) in done.iter_mut().enumerate() {
+        *var = network.variable(format!("done_{}_{}", i / n_jobs, i % n_jobs));
     }
     let done_of = |frame: u64, job: JobId| done[frame as usize * n_jobs + job.index()];
 
-    let mut rounds = 0usize;
-    for m in 0..schedule.processors() {
-        let order = schedule.processor_order(m);
+    for m in 0..tables.processors() {
         let mut b = TimedAutomaton::builder(format!("sched_M{m}"));
         let x = b.clock("x"); // absolute time, never reset
         let c = b.clock("c"); // per-execution timer
         let mut cur = b.location(format!("start_M{m}"));
         for f in 0..frames {
-            for &job_id in &order {
-                rounds += 1;
+            for &job_id in tables.proc_order(m) {
                 let job = graph.job(job_id);
-                let res = resolution.get(f, job_id);
+                let res = slots.slot(f, job_id);
                 // Precedence guards: same-frame predecessors + wraps.
                 let mut guards: Vec<Guard> = graph
                     .predecessors(job_id)
                     .map(|p| Guard::VarIs(done_of(f, p), true))
                     .collect();
                 if f > 0 {
-                    guards.extend(
-                        wraps[job_id.index()]
-                            .iter()
-                            .map(|&p| Guard::VarIs(done_of(f - 1, p), true)),
-                    );
+                    let wraps = tables.wrap_preds(job_id);
+                    guards.extend(wraps.iter().map(|&p| Guard::VarIs(done_of(f - 1, p), true)));
                 }
                 // Executable rounds are additionally gated at the frame
                 // start f·H: the policy dispatches a frame's rounds only
@@ -154,6 +143,7 @@ pub fn translate(
         }
         network.add(b.build());
     }
+    let rounds = done.len();
     Ok(Translation { network, rounds })
 }
 
@@ -203,12 +193,18 @@ pub fn extract_timings(trace: &TaTrace) -> Vec<JobTiming> {
 mod tests {
     use super::*;
     use crate::sim::simulate_network;
-    use fppn_core::{ChannelKind, EventSpec, FppnBuilder, ProcessSpec, SporadicTrace};
-    use fppn_sched::{list_schedule, Heuristic};
-    use fppn_taskgraph::{derive_task_graph, WcetModel};
+    use fppn_core::{ChannelKind, EventSpec, Fppn, FppnBuilder, ProcessSpec, SporadicTrace};
+    use fppn_sim::CompileConfig;
+    use fppn_taskgraph::WcetModel;
 
     fn ms(v: i64) -> TimeQ {
         TimeQ::from_ms(v)
+    }
+
+    /// Compiles `net` with a uniform `wcet` onto `processors` processors.
+    fn compile(net: Fppn, wcet: TimeQ, processors: usize) -> CompiledNetwork {
+        let config = CompileConfig::new(WcetModel::uniform(wcet), processors);
+        CompiledNetwork::compile(net, &config).unwrap()
     }
 
     fn pipeline() -> Fppn {
@@ -222,10 +218,8 @@ mod tests {
 
     #[test]
     fn two_jobs_on_one_processor_serialize() {
-        let net = pipeline();
-        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(30))).unwrap();
-        let schedule = list_schedule(&derived.graph, 1, Heuristic::AlapEdf);
-        let t = translate(&net, &derived, &schedule, &Stimuli::new(), 2).unwrap();
+        let artifact = compile(pipeline(), ms(30), 1);
+        let t = translate(&artifact, &Stimuli::new(), 2).unwrap();
         let trace = simulate_network(&t.network, ms(1000), t.step_bound());
         let timings = extract_timings(&trace);
         assert_eq!(timings.len(), 4); // 2 jobs x 2 frames
@@ -240,10 +234,8 @@ mod tests {
 
     #[test]
     fn cross_processor_precedence_honored() {
-        let net = pipeline();
-        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(30))).unwrap();
-        let schedule = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
-        let t = translate(&net, &derived, &schedule, &Stimuli::new(), 1).unwrap();
+        let artifact = compile(pipeline(), ms(30), 2);
+        let t = translate(&artifact, &Stimuli::new(), 1).unwrap();
         let trace = simulate_network(&t.network, ms(1000), t.step_bound());
         let timings = extract_timings(&trace);
         // Even on 2 processors, c must wait for a.
@@ -260,11 +252,10 @@ mod tests {
         b.channel("c", cfg, user, ChannelKind::Blackboard);
         b.priority(cfg, user);
         let (net, _) = b.build().unwrap();
-        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
-        let schedule = list_schedule(&derived.graph, 1, Heuristic::AlapEdf);
+        let artifact = compile(net, ms(10), 1);
         let mut stimuli = Stimuli::new();
         stimuli.arrivals(cfg, SporadicTrace::new(vec![ms(150)]));
-        let t = translate(&net, &derived, &schedule, &stimuli, 2).unwrap();
+        let t = translate(&artifact, &stimuli, 2).unwrap();
         let trace = simulate_network(&t.network, ms(1000), t.step_bound());
         let timings = extract_timings(&trace);
         let skips: Vec<_> = timings.iter().filter(|t| t.skipped).collect();
@@ -277,16 +268,18 @@ mod tests {
 
     #[test]
     fn unholdable_frame_count_is_a_typed_error() {
-        // One job per frame: 2^60 resolved slots are past `isize::MAX`
+        // One job per frame: 2^60 done variables are past `isize::MAX`
         // bytes, so the reservation is refused on any host without asking
         // the allocator.
         let mut b = FppnBuilder::new();
         b.process(ProcessSpec::new("p", EventSpec::periodic(ms(100))));
         let (net, _) = b.build().unwrap();
-        let derived = derive_task_graph(&net, &WcetModel::uniform(ms(10))).unwrap();
-        let schedule = list_schedule(&derived.graph, 1, Heuristic::AlapEdf);
-        let err = translate(&net, &derived, &schedule, &Stimuli::new(), 1 << 60)
-            .expect_err("2^60 frames cannot be translated");
-        assert_eq!((err.frames, err.jobs), (1 << 60, 1));
+        let artifact = compile(net, ms(10), 1);
+        match translate(&artifact, &Stimuli::new(), 1 << 60) {
+            Err(BindError::FrameCount { frames, jobs, .. }) => {
+                assert_eq!((frames, jobs), (1 << 60, 1))
+            }
+            other => panic!("expected a frame-count error, got {other:?}"),
+        }
     }
 }

@@ -55,6 +55,6 @@ pub use graph::TaskGraph;
 pub use job::{Job, JobId};
 pub use pipeline::{unroll_for_pipelining, unrolled_conflict_graph};
 pub use slots::{
-    wrap_predecessors, FrameCountError, RoundResolution, SlotResolution, SlotTemplates,
+    wrap_predecessors, BindError, BoundSlots, SlotResolution, SlotTemplates,
 };
 pub use wcet::WcetModel;

@@ -1,17 +1,19 @@
-//! Run-time resolution of task-graph job instances across frames.
+//! Slot binding: the run-time resolution of task-graph job instances
+//! across frames.
 //!
 //! The static task graph covers one hyperperiod; at run time the frame is
 //! repeated, and every *server* job slot must be matched against the real
-//! sporadic arrivals of its window — or marked **false** (§IV). This
-//! module computes that resolution from the arrival traces, shared by the
-//! discrete-event simulator (`fppn-sim`) and the threaded runtime
-//! (`fppn-runtime`).
+//! sporadic arrivals of its window — or marked **false** (§IV).
+//! [`SlotTemplates::bind`] is the one routine that validates a run's
+//! stimuli and binds them to slots, for every executor: the simulator
+//! (`fppn-sim`) streams the bound slots into its round tables, and the
+//! threaded runtime and the timed-automata translation look them up.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, TryReserveError};
 use std::error::Error;
 use std::fmt;
 
-use fppn_core::{Fppn, ProcessId, Stimuli};
+use fppn_core::{Fppn, NetworkError, ProcessId, Stimuli};
 use fppn_time::TimeQ;
 
 use crate::derive::DerivedTaskGraph;
@@ -31,38 +33,38 @@ pub struct SlotResolution {
     pub deadline: TimeQ,
 }
 
-/// Per-frame, per-job instance resolutions for `frames` repetitions of the
-/// schedule frame.
+/// Why [`SlotTemplates::bind`] refused a run's stimuli or frame count.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundResolution {
-    frames: u64,
-    jobs: usize,
-    slots: Vec<SlotResolution>, // [frame * jobs + job]
+pub enum BindError {
+    /// The stimuli are inconsistent with the network, e.g. a sporadic
+    /// trace that breaks its `(m, T)` constraint.
+    Stimuli(NetworkError),
+    /// A table of `frames × jobs` slots cannot be held: the count
+    /// overflows `usize`, or the allocator refuses a reservation.
+    FrameCount {
+        /// The requested frame count.
+        frames: u64,
+        /// Jobs per frame.
+        jobs: usize,
+        /// Why the table cannot be held.
+        reason: String,
+    },
 }
 
-/// A frame count whose resolution table cannot be held: `frames × jobs`
-/// overflows `usize`, or the allocator refuses the reservation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameCountError {
-    /// The requested frame count.
-    pub frames: u64,
-    /// Jobs per frame.
-    pub jobs: usize,
-    /// Why the table cannot be held.
-    pub reason: String,
-}
-
-impl fmt::Display for FrameCountError {
+impl fmt::Display for BindError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} frames of {} jobs: {}",
-            self.frames, self.jobs, self.reason
-        )
+        match self {
+            BindError::Stimuli(e) => write!(f, "invalid stimuli: {e}"),
+            BindError::FrameCount {
+                frames,
+                jobs,
+                reason,
+            } => write!(f, "{frames} frames of {jobs} jobs: {reason}"),
+        }
     }
 }
 
-impl Error for FrameCountError {}
+impl Error for BindError {}
 
 /// The stimuli-*independent* half of slot resolution: per-job templates
 /// and per-server window parameters, a pure function of the network and
@@ -70,10 +72,7 @@ impl Error for FrameCountError {}
 ///
 /// Splitting resolution this way is what makes the compile/run boundary
 /// cacheable: [`SlotTemplates::build`] runs once per compiled network,
-/// while [`SlotTemplates::resolve`] (or the allocation-light
-/// [`SlotTemplates::for_each_slot`]) binds a concrete arrival trace per
-/// run. [`RoundResolution::resolve`] remains as the one-shot convenience
-/// composing the two.
+/// while [`SlotTemplates::bind`] binds a concrete arrival trace per run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotTemplates {
     hyperperiod: TimeQ,
@@ -112,10 +111,23 @@ enum Template {
 /// `[0, frames * subsets_per_frame)`, so a flat CSR table (counting sort)
 /// beats any map: the per-slot lookup becomes two array indexes with no
 /// hashing or tree walk.
+#[derive(Debug)]
 struct ServerArrivals {
     /// `starts[s]..starts[s + 1]` is the slice of `times` for subset `s`.
     starts: Vec<u32>,
     times: Vec<TimeQ>,
+}
+
+/// The slot templates bound to one run's stimuli over `frames` frames,
+/// whose `frames × jobs` slots [`SlotTemplates::bind`] checked to fit
+/// `usize`: the validated arrivals, binned per server subset. Answers
+/// [`BoundSlots::slot`] in O(1) and streams every slot in canonical
+/// order through [`BoundSlots::for_each_slot`].
+#[derive(Debug)]
+pub struct BoundSlots<'a> {
+    templates: &'a SlotTemplates,
+    frames: u64,
+    arrivals: Vec<ServerArrivals>,
 }
 
 impl SlotTemplates {
@@ -169,60 +181,140 @@ impl SlotTemplates {
         self.templates.len()
     }
 
-    /// Bins the sporadic arrival traces into per-server subset CSR tables,
+    /// Binds one run's stimuli over `frames` frames: validates the stimuli
+    /// against `net`, checks that `frames × job_count` fits `usize`, and
+    /// bins every sporadic arrival into its server subset.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BindError::Stimuli`] when the stimuli break the network's
+    /// event specs, and [`BindError::FrameCount`] when `frames × job_count`
+    /// overflows `usize` or a `frames`-sized subset table cannot be
+    /// reserved: an unchecked reservation would panic on capacity overflow
+    /// or abort the process.
+    pub fn bind(
+        &self,
+        net: &Fppn,
+        stimuli: &Stimuli,
+        frames: u64,
+    ) -> Result<BoundSlots<'_>, BindError> {
+        stimuli.validate(net).map_err(BindError::Stimuli)?;
+        usize::try_from(frames)
+            .ok()
+            .and_then(|f| f.checked_mul(self.job_count()))
+            .ok_or_else(|| self.frame_count_error(frames, "overflows usize".to_owned()))?;
+        let arrivals = self
+            .servers
+            .iter()
+            .map(|w| self.bin_arrivals(w, stimuli, frames))
+            .collect::<Result<_, _>>()?;
+        Ok(BoundSlots {
+            templates: self,
+            frames,
+            arrivals,
+        })
+    }
+
+    fn frame_count_error(&self, frames: u64, reason: String) -> BindError {
+        BindError::FrameCount {
+            frames,
+            jobs: self.job_count(),
+            reason,
+        }
+    }
+
+    /// Bins one server's sporadic arrival trace into a subset CSR table,
     /// applying the window boundary rule: the subset arriving at `b`
     /// covers `(b − T′, b]` when the sporadic process has priority over
     /// its user, `[b − T′, b)` otherwise.
-    fn bin_arrivals(&self, stimuli: &Stimuli, frames: u64) -> Vec<ServerArrivals> {
-        self.servers
-            .iter()
-            .map(|w| {
-                let total = (frames as i128 * w.subsets_per_frame).max(0) as usize;
-                let subset_of = |t: TimeQ| -> Option<usize> {
-                    let q = t / w.period;
-                    let s = if w.priority_over_user {
-                        q.ceil()
-                    } else {
-                        q.floor() + 1
-                    };
-                    // Arrivals past the simulated horizon land in subsets the
-                    // frame loop never queries; drop them here.
-                    (0..total as i128).contains(&s).then_some(s as usize)
-                };
-                let mut counts = vec![0u32; total + 1];
-                for &t in stimuli.arrival_times(w.pid) {
-                    if let Some(s) = subset_of(t) {
-                        counts[s + 1] += 1;
-                    }
-                }
-                for i in 1..counts.len() {
-                    counts[i] += counts[i - 1];
-                }
-                let starts = counts.clone();
-                let mut times = vec![TimeQ::from_int(0); *starts.last().unwrap_or(&0) as usize];
-                let mut cursor = counts;
-                for &t in stimuli.arrival_times(w.pid) {
-                    if let Some(s) = subset_of(t) {
-                        times[cursor[s] as usize] = t;
-                        cursor[s] += 1;
-                    }
-                }
-                for s in 0..total {
-                    times[starts[s] as usize..starts[s + 1] as usize].sort();
-                }
-                ServerArrivals { starts, times }
-            })
-            .collect()
+    fn bin_arrivals(
+        &self,
+        w: &ServerWindow,
+        stimuli: &Stimuli,
+        frames: u64,
+    ) -> Result<ServerArrivals, BindError> {
+        let error = |reason: String| self.frame_count_error(frames, reason);
+        let total = usize::try_from((frames as i128 * w.subsets_per_frame).max(0))
+            .map_err(|_| error("subset table overflows usize".to_owned()))?;
+        let subset_of = |t: TimeQ| -> Option<usize> {
+            let q = t / w.period;
+            let s = if w.priority_over_user {
+                q.ceil()
+            } else {
+                q.floor() + 1
+            };
+            // Arrivals past the simulated horizon land in subsets the
+            // frame loop never queries; drop them here.
+            (0..total as i128).contains(&s).then_some(s as usize)
+        };
+        let mut starts = try_filled(total + 1, 0u32).map_err(|e| error(e.to_string()))?;
+        for &t in stimuli.arrival_times(w.pid) {
+            if let Some(s) = subset_of(t) {
+                starts[s + 1] += 1;
+            }
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let mut times = vec![TimeQ::from_int(0); starts[total] as usize];
+        for &t in stimuli.arrival_times(w.pid) {
+            if let Some(s) = subset_of(t) {
+                times[starts[s] as usize] = t;
+                starts[s] += 1;
+            }
+        }
+        // Placing advanced every subset's start to the next one's (the last
+        // entry, the total, never moved): shift them back into place.
+        starts.rotate_right(1);
+        starts[0] = 0;
+        for s in 0..total {
+            times[starts[s] as usize..starts[s + 1] as usize].sort();
+        }
+        Ok(ServerArrivals { starts, times })
+    }
+}
+
+impl BoundSlots<'_> {
+    /// The resolution of job `job` in `frame`, in O(1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` or `job` is out of range.
+    pub fn slot(&self, frame: u64, job: JobId) -> SlotResolution {
+        assert!(frame < self.frames, "frame {frame} out of range");
+        let frame_base = TimeQ::from_int(frame as i64) * self.templates.hyperperiod;
+        self.resolve(frame, frame_base, &self.templates.templates[job.index()])
+    }
+
+    /// Streams every slot resolution in canonical `(frame, job-id)` order
+    /// — the simulator copies them straight into its structure-of-arrays
+    /// round tables.
+    pub fn for_each_slot(&self, mut f: impl FnMut(SlotResolution)) {
+        for frame in 0..self.frames {
+            let frame_base = TimeQ::from_int(frame as i64) * self.templates.hyperperiod;
+            for tpl in &self.templates.templates {
+                f(self.resolve(frame, frame_base, tpl));
+            }
+        }
+    }
+
+    /// A table of one `fill` per slot, indexed `frame × jobs + job` and
+    /// allocated fallibly, so an executor's own per-slot table that the
+    /// host cannot hold is a typed error, not a capacity-overflow panic or
+    /// an allocation abort.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BindError::FrameCount`] when the allocator refuses the
+    /// table.
+    pub fn slot_table<T: Clone>(&self, fill: T) -> Result<Vec<T>, BindError> {
+        let t = self.templates;
+        try_filled(self.frames as usize * t.job_count(), fill)
+            .map_err(|e| t.frame_count_error(self.frames, e.to_string()))
     }
 
     /// Resolves one slot against the binned arrivals.
-    fn resolve_slot(
-        &self,
-        frame: u64,
-        frame_base: TimeQ,
-        tpl: &Template,
-        arrivals: &[ServerArrivals],
-    ) -> SlotResolution {
+    fn resolve(&self, frame: u64, frame_base: TimeQ, tpl: &Template) -> SlotResolution {
         match tpl {
             Template::Periodic {
                 arrival,
@@ -241,9 +333,9 @@ impl SlotTemplates {
                 slot,
                 deadline_rel,
             } => {
-                let w = &self.servers[*server];
+                let w = &self.templates.servers[*server];
                 let global_subset = frame as i128 * w.subsets_per_frame + subset_in_frame;
-                let a = &arrivals[*server];
+                let a = &self.arrivals[*server];
                 let arrival = usize::try_from(global_subset)
                     .ok()
                     .and_then(|s| {
@@ -270,104 +362,14 @@ impl SlotTemplates {
             }
         }
     }
-
-    /// Streams every slot resolution in canonical `(frame, job-id)` order
-    /// without materializing a [`RoundResolution`] — the simulator copies
-    /// directly into its structure-of-arrays round tables.
-    pub fn for_each_slot(
-        &self,
-        stimuli: &Stimuli,
-        frames: u64,
-        mut f: impl FnMut(SlotResolution),
-    ) {
-        let arrivals = self.bin_arrivals(stimuli, frames);
-        for frame in 0..frames {
-            let frame_base = TimeQ::from_int(frame as i64) * self.hyperperiod;
-            for tpl in &self.templates {
-                f(self.resolve_slot(frame, frame_base, tpl, &arrivals));
-            }
-        }
-    }
-
-    /// Materializes the full per-frame resolution table for one run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameCountError`] when `frames × job_count` overflows
-    /// `usize` or the table cannot be reserved, checked before any arrival
-    /// is binned: an unchecked reservation would panic on capacity
-    /// overflow or abort the process.
-    pub fn resolve(
-        &self,
-        stimuli: &Stimuli,
-        frames: u64,
-    ) -> Result<RoundResolution, FrameCountError> {
-        let jobs = self.job_count();
-        let error = |reason: String| FrameCountError {
-            frames,
-            jobs,
-            reason,
-        };
-        let total = usize::try_from(frames)
-            .ok()
-            .and_then(|f| f.checked_mul(jobs))
-            .ok_or_else(|| error("overflows usize".to_owned()))?;
-        let mut slots = Vec::new();
-        slots
-            .try_reserve_exact(total)
-            .map_err(|e| error(e.to_string()))?;
-        self.for_each_slot(stimuli, frames, |res| slots.push(res));
-        Ok(RoundResolution {
-            frames,
-            jobs,
-            slots,
-        })
-    }
 }
 
-impl RoundResolution {
-    /// Resolves every instance from the sporadic arrival traces.
-    ///
-    /// One-shot convenience composing [`SlotTemplates::build`] and
-    /// [`SlotTemplates::resolve`]; callers that resolve the same network
-    /// repeatedly should build the templates once and reuse them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameCountError`] for a frame count whose table cannot
-    /// be held (see [`SlotTemplates::resolve`]).
-    pub fn resolve(
-        net: &Fppn,
-        derived: &DerivedTaskGraph,
-        stimuli: &Stimuli,
-        frames: u64,
-    ) -> Result<Self, FrameCountError> {
-        SlotTemplates::build(net, derived).resolve(stimuli, frames)
-    }
-
-    /// The resolution of job `id` in `frame`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frame` or `id` is out of range.
-    pub fn get(&self, frame: u64, id: JobId) -> SlotResolution {
-        assert!(
-            frame < self.frames && id.index() < self.jobs,
-            "slot ({frame}, {}) out of range",
-            id.index()
-        );
-        self.slots[frame as usize * self.jobs + id.index()]
-    }
-
-    /// The number of resolved frames.
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    /// Count of executable instances.
-    pub fn executable_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.executable).count()
-    }
+/// `len` copies of `fill`, allocated fallibly.
+fn try_filled<T: Clone>(len: usize, fill: T) -> Result<Vec<T>, TryReserveError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)?;
+    v.resize(len, fill);
+    Ok(v)
 }
 
 /// The cross-frame "wrap" predecessors extending the real-time-semantics
@@ -437,19 +439,34 @@ mod tests {
         (net, user, cfg)
     }
 
+    /// Builds the templates and binds `stimuli` over `frames` frames.
+    fn with_bound<R>(
+        net: &Fppn,
+        derived: &DerivedTaskGraph,
+        stimuli: &Stimuli,
+        frames: u64,
+        f: impl FnOnce(&BoundSlots<'_>) -> R,
+    ) -> R {
+        let templates = SlotTemplates::build(net, derived);
+        f(&templates.bind(net, stimuli, frames).unwrap())
+    }
+
     #[test]
     fn periodic_instances_always_executable() {
         let (net, user, _) = sporadic_net(true);
         let derived = derive_task_graph(&net, &WcetModel::default()).unwrap();
-        let res = RoundResolution::resolve(&net, &derived, &Stimuli::new(), 3).unwrap();
         let u1 = derived.graph.find(user, 1).unwrap();
-        for f in 0..3 {
-            let r = res.get(f, u1);
-            assert!(r.executable);
-            assert_eq!(r.invoked_at, ms(200 * f as i64));
-            assert_eq!(r.deadline, ms(200 * f as i64 + 200));
-        }
-        assert_eq!(res.frames(), 3);
+        with_bound(&net, &derived, &Stimuli::new(), 3, |res| {
+            for f in 0..3 {
+                let r = res.slot(f, u1);
+                assert!(r.executable);
+                assert_eq!(r.invoked_at, ms(200 * f as i64));
+                assert_eq!(r.deadline, ms(200 * f as i64 + 200));
+            }
+            let mut streamed = 0;
+            res.for_each_slot(|_| streamed += 1);
+            assert_eq!(streamed, 3 * derived.graph.job_count());
+        });
     }
 
     #[test]
@@ -458,19 +475,22 @@ mod tests {
         let derived = derive_task_graph(&net, &WcetModel::default()).unwrap();
         let mut stimuli = Stimuli::new();
         stimuli.arrivals(cfg, SporadicTrace::new(vec![ms(150)]));
-        let res = RoundResolution::resolve(&net, &derived, &stimuli, 2).unwrap();
         let c1 = derived.graph.find(cfg, 1).unwrap();
         let c2 = derived.graph.find(cfg, 2).unwrap();
-        // Arrival 150 -> subset at b = 200 (frame 1, subset 0).
-        assert!(!res.get(0, c1).executable); // window (-200, 0]: empty
-        assert!(!res.get(0, c2).executable);
-        let r = res.get(1, c1);
-        assert!(r.executable);
-        assert_eq!(r.invoked_at, ms(150));
-        assert_eq!(r.deadline, ms(150 + 700));
-        assert!(!res.get(1, c2).executable);
-        assert_eq!(res.get(1, c2).invoked_at, ms(200)); // marked false at b
-        assert_eq!(res.executable_count(), 2 /* user */ + 1);
+        with_bound(&net, &derived, &stimuli, 2, |res| {
+            // Arrival 150 -> subset at b = 200 (frame 1, subset 0).
+            assert!(!res.slot(0, c1).executable); // window (-200, 0]: empty
+            assert!(!res.slot(0, c2).executable);
+            let r = res.slot(1, c1);
+            assert!(r.executable);
+            assert_eq!(r.invoked_at, ms(150));
+            assert_eq!(r.deadline, ms(150 + 700));
+            assert!(!res.slot(1, c2).executable);
+            assert_eq!(res.slot(1, c2).invoked_at, ms(200)); // marked false at b
+            let mut executable = 0;
+            res.for_each_slot(|r| executable += usize::from(r.executable));
+            assert_eq!(executable, 2 /* user */ + 1);
+        });
     }
 
     #[test]
@@ -480,15 +500,33 @@ mod tests {
             let derived = derive_task_graph(&net, &WcetModel::default()).unwrap();
             let mut stimuli = Stimuli::new();
             stimuli.arrivals(cfg, SporadicTrace::new(vec![ms(200)]));
-            let res = RoundResolution::resolve(&net, &derived, &stimuli, 3).unwrap();
             let c1 = derived.graph.find(cfg, 1).unwrap();
-            for f in 0..3 {
-                assert_eq!(
-                    res.get(f, c1).executable,
-                    f == expect_frame,
-                    "priority {cfg_priority}, frame {f}"
-                );
+            with_bound(&net, &derived, &stimuli, 3, |res| {
+                for f in 0..3 {
+                    assert_eq!(
+                        res.slot(f, c1).executable,
+                        f == expect_frame,
+                        "priority {cfg_priority}, frame {f}"
+                    );
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn unholdable_subset_table_is_a_typed_error() {
+        // 2^62 frames of one subset each: the subset table needs 2^64
+        // bytes, past `isize::MAX`, so the reservation is refused on any
+        // host without asking the allocator, while 2^62 × 3 slots still
+        // fit `usize`.
+        let (net, _, _) = sporadic_net(true);
+        let derived = derive_task_graph(&net, &WcetModel::default()).unwrap();
+        let templates = SlotTemplates::build(&net, &derived);
+        match templates.bind(&net, &Stimuli::new(), 1 << 62) {
+            Err(BindError::FrameCount { frames, jobs, .. }) => {
+                assert_eq!((frames, jobs), (1 << 62, 3))
             }
+            other => panic!("expected a frame-count error, got {other:?}"),
         }
     }
 

@@ -8,7 +8,9 @@ use fppn::apps::{fms_network, fms_sporadics, fms_wcet, FmsVariant};
 use fppn::core::{run_zero_delay, JobOrdering};
 use fppn::runtime::{run_threaded, RuntimeConfig};
 use fppn::sched::{list_schedule, min_processors, Heuristic};
-use fppn::sim::{clip_stimuli, random_sporadic_trace, simulate, SimConfig};
+use fppn::sim::{
+    clip_stimuli, random_sporadic_trace, simulate, CompileConfig, CompiledNetwork, SimConfig,
+};
 use fppn::taskgraph::{derive_task_graph, load};
 use fppn::time::TimeQ;
 
@@ -72,13 +74,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut behaviors = bank.instantiate();
     let reference = run_zero_delay(&net, &mut behaviors, &stimuli, horizon, JobOrdering::default())?;
     assert_eq!(run1.observables.diff(&reference.observables), None);
-    let schedule2 = list_schedule(&derived.graph, 2, Heuristic::AlapEdf);
+    let artifact2 = CompiledNetwork::compile(net, &CompileConfig::new(wcet, 2))?;
     let threaded = run_threaded(
-        &net,
+        &artifact2,
         &bank,
         &stimuli,
-        &derived,
-        &schedule2,
         &RuntimeConfig {
             frames,
             us_per_ms: 0,

@@ -1,12 +1,13 @@
 //! Equivalence of the timed-automata translation (the paper's
 //! code-generation pipeline) with the discrete-event simulator: for the
-//! same network, schedule and stimuli under WCET execution, the TA network
+//! same compiled artifact and stimuli under WCET execution, the TA network
 //! must reproduce the §IV policy timeline step for step.
 
-use fppn::apps::{fig1_network, fig1_wcet, random_workload, WorkloadConfig};
+use fppn::apps::{
+    fig1_network, fig1_wcet, fms_network, fms_wcet, random_workload, FmsVariant, WorkloadConfig,
+};
 use fppn::core::{SporadicTrace, Stimuli};
-use fppn::sched::{list_schedule, Heuristic};
-use fppn::sim::{clip_stimuli, random_stimuli, simulate, SimConfig};
+use fppn::sim::{clip_stimuli, random_stimuli, CompileConfig, CompiledNetwork, SimConfig};
 use fppn::ta::{extract_timings, simulate_network, translate, StopReason};
 use fppn::taskgraph::derive_task_graph;
 use fppn::time::TimeQ;
@@ -20,24 +21,23 @@ fn assert_ta_matches_sim(
     frames: u64,
     label: &str,
 ) {
-    let derived = derive_task_graph(net, wcet).unwrap();
-    let stimuli = clip_stimuli(net, &derived, raw_stimuli, frames);
-    let schedule = list_schedule(&derived.graph, processors, Heuristic::AlapEdf);
+    let config = CompileConfig::new(wcet.clone(), processors);
+    let artifact = CompiledNetwork::compile(net.clone(), &config).unwrap();
+    let derived = artifact.derived();
+    let stimuli = clip_stimuli(net, derived, raw_stimuli, frames);
 
-    let run = simulate(
-        net,
-        bank,
-        &stimuli,
-        &derived,
-        &schedule,
-        &SimConfig {
-            frames,
-            ..SimConfig::default()
-        },
-    )
-    .unwrap();
+    let run = artifact
+        .simulate(
+            bank,
+            &stimuli,
+            &SimConfig {
+                frames,
+                ..SimConfig::default()
+            },
+        )
+        .unwrap();
 
-    let translation = translate(net, &derived, &schedule, &stimuli, frames).expect("translates");
+    let translation = translate(&artifact, &stimuli, frames).expect("translates");
     let horizon = TimeQ::from_int(frames as i64 + 1) * derived.hyperperiod;
     let trace = simulate_network(&translation.network, horizon, translation.step_bound());
     assert_eq!(trace.stopped, StopReason::Quiescent, "{label}: TA must finish");
@@ -82,6 +82,27 @@ fn fig1_ta_translation_matches_simulator() {
             processors,
             3,
             &format!("fig1 x{processors}"),
+        );
+    }
+}
+
+/// The §V-B case study, both variants, over one frame with dense
+/// sporadic pilot commands.
+#[test]
+fn fms_ta_translation_matches_simulator() {
+    for variant in [FmsVariant::Original, FmsVariant::Reduced] {
+        let (net, bank, ids) = fms_network(variant);
+        let wcet = fms_wcet(&ids);
+        let derived = derive_task_graph(&net, &wcet).unwrap();
+        let stimuli = random_stimuli(&net, derived.hyperperiod, 900, 5);
+        assert_ta_matches_sim(
+            &net,
+            &bank,
+            &wcet,
+            &stimuli,
+            4,
+            1,
+            &format!("fms {variant:?}"),
         );
     }
 }
